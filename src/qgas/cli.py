@@ -38,10 +38,16 @@ class CliConfig:
             raise DomainError(f"tol must be positive, got {self.tol}")
 
 
+def _snap(x: float) -> float:
+    # round-off below 1e-12 prints as 0, and never as -0
+    return 0.0 if abs(x) < 1e-12 else x
+
+
 def _cfmt(z: complex) -> str:
-    if abs(z.imag) < 1e-12:
-        return f"{z.real:.6g}"
-    return f"{z.real:.6g}{z.imag:+.6g}i"
+    real, imag = _snap(z.real), _snap(z.imag)
+    if imag == 0.0:
+        return f"{real:.6g}"
+    return f"{real:.6g}{imag:+.6g}i"
 
 
 def _mixture_text(mixture) -> str:

@@ -1,9 +1,10 @@
 """Small dense complex matrix algebra for desk-scale Hilbert spaces (dim <= 8).
 
 Everything works on plain numpy complex arrays.  The Hermitian eigensolver is
-a cyclic Jacobi iteration written out here instead of delegated to LAPACK so
-that its sweep order, degeneracy tie-break, and eigenvector phase convention
-are fixed by this module and reproducible across platforms.
+LAPACK (``numpy.linalg.eigh``) followed by a canonical post-pass that fixes
+what LAPACK leaves open: the eigenvalue order, the basis of each degenerate
+eigenspace, and the phase of every eigenvector.  Its output therefore
+depends on the matrix, not on the choices a LAPACK build makes there.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from .errors import DimensionError, DomainError, NotHermitianError
 
 MAX_DIM = 8
 
-# off-diagonal magnitude at which a Jacobi sweep is considered converged
-_JACOBI_TOL = 1e-13
-_MAX_SWEEPS = 100
-
 # magnitude threshold used to locate the leading component of an eigenvector
 _PHASE_TOL = 1e-10
 
-# eigenvalues closer than this are treated as degenerate when ordering
+# adjacent eigenvalues closer than this share one degenerate eigenspace
 _TIE_TOL = 1e-10
+
+# residual norm below which a projected axis adds nothing to the canonical
+# basis of a degenerate eigenspace: far above round-off, far below O(1)
+_BASIS_TOL = 1e-6
 
 
 def as_matrix(m) -> np.ndarray:
@@ -34,6 +35,8 @@ def as_matrix(m) -> np.ndarray:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not 1 <= a.shape[0] <= MAX_DIM:
         raise DimensionError(f"dimension {a.shape[0]} outside 1..{MAX_DIM}")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix has a non-finite entry (nan or inf)")
     return a
 
 
@@ -43,6 +46,12 @@ def as_ket(v) -> np.ndarray:
     if not 1 <= k.size <= MAX_DIM:
         raise DimensionError(f"ket length {k.size} outside 1..{MAX_DIM}")
     norm = float(np.linalg.norm(k))
+    if not math.isfinite(norm):
+        if not np.isfinite(k).all():
+            raise DomainError("ket has a non-finite entry (nan or inf)")
+        # finite entries whose norm overflows: rescale by the largest first
+        k = k / np.max(np.abs(k))
+        norm = float(np.linalg.norm(k))
     if norm < 1e-12:
         raise DomainError("cannot normalize a zero ket")
     k = k / norm
@@ -64,12 +73,18 @@ def trace_product(a, b) -> complex:
     return complex(np.trace(a @ b))
 
 
-def conjugate(a, rho) -> np.ndarray:
-    """The unnormalized outcome update a rho a^dagger."""
-    a = as_matrix(a)
-    rho = as_matrix(rho)
+def hermitian_part(m) -> np.ndarray:
+    """(m + m^dagger) / 2: exactly Hermitian, whatever round-off m carries."""
+    return (m + m.conj().T) / 2.0
+
+
+def conjugate(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The unnormalized outcome update a rho a^dagger of two matrices already
+    checked by as_matrix, made exactly Hermitian so that dividing it by a
+    small outcome probability cannot blow its round-off up past a
+    Hermiticity check."""
     _same_dim(a, rho)
-    return a @ rho @ a.conj().T
+    return hermitian_part(a @ rho @ a.conj().T)
 
 
 def projector(ket) -> np.ndarray:
@@ -95,85 +110,68 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _vector_key(v: np.ndarray):
-    return tuple((float(x.real), float(x.imag)) for x in v)
+def _canonical_basis(b: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of b's orthonormal columns, fixed by the
+    span alone: the axes e_1, e_2, ... projected onto it and Gram-Schmidt
+    orthonormalized in turn, skipping residuals below 1e-6.  e_j projects
+    to b c_j with c_j = conj(b[j, :]), so the Gram-Schmidt runs on the c_j.
+
+    The vectors come in the order of the axes they are built from.  Before
+    any phasing each is real positive at its own axis, vanishes on the
+    earlier axes that were kept, and is below 1e-6 (not necessarily zero)
+    on the earlier axes that were skipped.
+    """
+    q: list[list[complex]] = []
+    for c in b.conj().tolist():
+        for u in q:
+            s = sum(x.conjugate() * y for x, y in zip(u, c))
+            c = [y - s * x for x, y in zip(u, c)]
+        norm = math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in c))
+        if norm > _BASIS_TOL:
+            q.append([x / norm for x in c])
+        if len(q) == b.shape[1]:
+            break
+    return b @ np.array(q).T
+
+
+def _canonicalize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Eigenvectors v of descending eigenvalues w in canonical form: each run
+    of neighbours within 1e-10 shares one eigenspace, given its canonical
+    basis when degenerate, and every vector is phased by _fix_phase."""
+    wl = w.tolist()
+    start = 0
+    for i in range(1, len(wl) + 1):
+        if i == len(wl) or wl[i - 1] - wl[i] > _TIE_TOL:
+            if i - start > 1:
+                v[:, start:i] = _canonical_basis(v[:, start:i])
+            start = i
+    return np.column_stack([_fix_phase(c) for c in v.T])
 
 
 def hermitian_eig(m, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK plus a canonical
+    post-pass.
 
     Returns (w, v): eigenvalues w sorted descending, eigenvectors as the
-    columns v[:, i].  Output is deterministic for identical input: the sweep
-    order is fixed, eigenvalues equal within 1e-10 are ordered by descending
-    lexicographic (real, imag) component sequence of their eigenvectors, and
-    each eigenvector is phased so its first component of magnitude > 1e-10
-    is real positive.
+    columns v[:, i].  Each eigenvector is phased so its first component of
+    magnitude > 1e-10 is real positive.  Eigenvalues whose neighbours agree
+    within 1e-10 share one eigenspace.  Its basis is the axes e_1, e_2, ...
+    projected onto it and Gram-Schmidt orthonormalized, skipping axes whose
+    residual is below 1e-6, in the order of the axes kept.  Each such vector
+    vanishes on the earlier kept axes but may keep a component below 1e-6 on
+    an earlier skipped one.  Only when all those are below 1e-10 is it real
+    positive at its own axis, and the eigenspace's vectors are then in
+    descending lexicographic (real, imag) order, reading entries below 1e-10
+    as zero.
 
     Raises NotHermitianError when m is not Hermitian within tol.
     """
     a = as_matrix(m)
-    if hermiticity_defect(a) > tol:
+    defect = hermiticity_defect(a)
+    if not defect <= tol:
         raise NotHermitianError(
-            f"matrix is not Hermitian within {tol:g} "
-            f"(defect {hermiticity_defect(a):.3g})"
+            f"matrix is not Hermitian within {tol:g} (defect {defect:.3g})"
         )
-    n = a.shape[0]
-    A = (a + a.conj().T) / 2.0
-    V = np.eye(n, dtype=complex)
-
-    for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            off = max(off, float(np.max(np.abs(A[p, p + 1:]))))
-        if off < _JACOBI_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                r = abs(apq)
-                if r <= _JACOBI_TOL:
-                    continue
-                phase = apq / r
-                # diagonalize the 2x2 block [[app, r], [r, aqq]] after the
-                # phase transform diag(1, conj(phase))
-                theta = (A[q, q].real - A[p, p].real) / (2.0 * r)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = -math.copysign(1.0, theta) / (
-                        abs(theta) + math.hypot(1.0, theta)
-                    )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                u = np.array(
-                    [[c, -s], [s * phase.conjugate(), c * phase.conjugate()]],
-                    dtype=complex,
-                )
-                A[:, [p, q]] = A[:, [p, q]] @ u
-                A[[p, q], :] = u.conj().T @ A[[p, q], :]
-                V[:, [p, q]] = V[:, [p, q]] @ u
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-    else:
-        raise ArithmeticError("jacobi iteration failed to converge")
-
-    w = np.real(np.diag(A)).copy()
-    vecs = [_fix_phase(V[:, i].copy()) for i in range(n)]
-
-    order = sorted(range(n), key=lambda i: (-w[i], i))
-    # break degeneracies by the eigenvectors' lexicographic component order
-    final: list[int] = []
-    g = 0
-    while g < n:
-        h = g
-        while h + 1 < n and abs(w[order[h + 1]] - w[order[g]]) <= _TIE_TOL:
-            h += 1
-        group = sorted(order[g:h + 1], key=lambda i: _vector_key(vecs[i]), reverse=True)
-        final.extend(group)
-        g = h + 1
-
-    w_out = np.array([w[i] for i in final])
-    v_out = np.column_stack([vecs[i] for i in final])
-    return w_out, v_out
+    w, v = np.linalg.eigh(hermitian_part(a))
+    w, v = w[::-1].copy(), v[:, ::-1]
+    return w, _canonicalize(w, v)

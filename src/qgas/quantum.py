@@ -56,7 +56,7 @@ class StatisticalMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace must be 1, got {tr:.12g}")
-        m = (m + m.conj().T) / 2.0
+        m = linalg.hermitian_part(m)
         low = float(np.min(np.linalg.eigvalsh(m)))
         if low < -PSD_TOL:
             raise StateError(f"matrix is not positive (eigenvalue {low:.3g})")

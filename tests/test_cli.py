@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from conftest import LN2, SEPARATION_HEAT
-from qgas.cli import CliConfig, main, parse_records, run_command
+from qgas.cli import CliConfig, _cfmt, main, parse_records, run_command
 from qgas.errors import DomainError
 
 EXPECTED_DEMOS = {
@@ -95,6 +95,16 @@ class TestTableFormat:
         assert code == 1
         assert "nobody" in err
 
+    @pytest.mark.parametrize("z, text", [
+        (complex(1, 4.92257e-17), "1"),
+        (complex(-1e-13, 0.25), "0+0.25i"),
+        (complex(-0.0, -0.0), "0"),
+        (complex(-3e-17, 0), "0"),
+        (complex(0.5, -2e-12), "0.5-2e-12i"),
+    ])
+    def test_number_format_snaps_round_off(self, z, text):
+        assert _cfmt(z) == text
+
 
 class TestExitCodes:
     def test_unknown_demo_exits_1(self):
@@ -114,6 +124,14 @@ class TestExitCodes:
         assert code == 1
         assert "parse error" in err
         assert "line 1" in err
+
+    def test_overflowing_ket_entry_exits_1(self, tmp_path):
+        # 1e999 parses to inf; it used to normalize to a nan ket silently
+        path = tmp_path / "inf-ket.qgp"
+        path.write_text("space lab dim 2\nket z+ = [1e999, 0]\n")
+        code, out, err = run_command(CliConfig("run", str(path)))
+        assert (code, out) == (1, "")
+        assert "line 2" in err and "non-finite" in err
 
     def test_runtime_error_exits_1(self, tmp_path):
         path = tmp_path / "bad-mix.qgp"

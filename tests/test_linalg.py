@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA_MINUS, ALPHA_PLUS, ALPHA_PLUS_KET, MIXTURE, R2, X_PLUS, Z_MINUS, Z_PLUS
-from util import random_hermitian
+from util import random_hermitian, random_unitary
 from qgas import linalg
 from qgas.errors import DimensionError, DomainError, NotHermitianError
 
@@ -157,6 +157,56 @@ def test_hermitian_eig_rejects_non_hermitian():
         linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_hermitian_eig_degenerate_basis_is_canonical(rng, dim):
+    # a projector built from two different orthonormal bases of its range
+    # gives the same eigenvectors, for a random range and for one spanned
+    # by coordinate axes alike
+    for k in range(1, dim):
+        for u in (random_unitary(rng, dim), np.eye(dim)[:, rng.permutation(dim)]):
+            b = u[:, :k]
+            c = b @ random_unitary(rng, k)
+            w1, v1 = linalg.hermitian_eig(b @ b.conj().T)
+            w2, v2 = linalg.hermitian_eig(c @ c.conj().T)
+            assert np.max(np.abs(w1 - w2)) <= 1e-12
+            assert np.max(np.abs(v1 - v2)) <= 1e-12
+            assert np.max(np.abs(v1.conj().T @ v1 - np.eye(dim))) <= 1e-12
+
+
+def test_hermitian_eig_skipped_axis_keeps_small_component(rng):
+    # the 1-eigenspace is within 1e-8 of orthogonal to e_1, so e_1 is skipped
+    # and its basis is built from e_2 and e_3; both vectors keep a component
+    # of about 1e-8 on e_1, which then sets their phase
+    b, _ = np.linalg.qr(np.array([[1e-8 * np.exp(0.3j), 2e-8 * np.exp(-1.1j)],
+                                  [1, 0], [0, 1], [0, 0]]))
+    projector = b @ b.conj().T
+    w1, v1 = linalg.hermitian_eig(projector)
+    c = b @ random_unitary(rng, 2)
+    _, v2 = linalg.hermitian_eig(c @ c.conj().T)
+    assert np.allclose(w1, [1, 1, 0, 0], atol=1e-12)
+    assert np.max(np.abs(projector @ v1 - v1 * w1)) <= 1e-12
+    assert np.max(np.abs(v1.conj().T @ v1 - np.eye(4))) <= 1e-12
+    assert np.max(np.abs(np.abs(v1[:, :2]) - np.eye(4)[:, 1:3])) <= 1e-6
+    for lead in v1[0, :2]:
+        assert 1e-10 < abs(lead) < 1e-6
+        assert lead.real > 0 and abs(lead.imag) <= 1e-22
+    assert np.max(np.abs(v1 - v2)) <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+def test_non_finite_entries_rejected(bad):
+    m = np.eye(2, dtype=complex)
+    m[1, 1] = bad
+    with pytest.raises(DomainError):
+        linalg.as_matrix(m)
+    with pytest.raises(DomainError):
+        linalg.hermitian_eig(m)
+    with pytest.raises(DomainError):
+        linalg.as_ket([1, bad])
+    with pytest.raises(DomainError):
+        linalg.projector([bad, 0])
+
+
 def test_dimension_bound():
     with pytest.raises(DimensionError):
         linalg.as_matrix(np.eye(9))
@@ -170,3 +220,10 @@ def test_as_ket_normalizes():
     assert np.allclose(k, [1 / math.sqrt(2)] * 2)
     with pytest.raises(DomainError):
         linalg.as_ket([0, 0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_as_ket_normalizes_finite_entries_whose_norm_overflows():
+    # the norm of these entries is above the largest float; the ket is not
+    assert np.allclose(linalg.as_ket([1e200, 0]), [1, 0])
+    assert np.allclose(linalg.as_ket([1e308, 1e308j]), [1 / math.sqrt(2), 1j / math.sqrt(2)])

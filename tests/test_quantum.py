@@ -16,7 +16,7 @@ from conftest import (
     Z_MINUS,
     Z_PLUS,
 )
-from util import random_povm, random_state
+from util import random_povm, random_state, random_unitary, skewed_ket
 from qgas.errors import (
     DimensionError,
     EmbeddingError,
@@ -135,6 +135,17 @@ class TestMeasure:
             for r in measure(povm, random_state(rng, dim)):
                 if r.post_state is not None:
                     assert abs(np.trace(r.post_state.matrix) - 1) < 1e-10
+
+    def test_small_probability_post_states(self, rng):
+        # a rho a^dag carries round-off of ~1e-18, so dividing it by a
+        # probability near 1e-9 leaves the post state accurate to ~1e-9 and
+        # used to fail the 1e-12 Hermiticity check
+        for _ in range(200):
+            u = random_unitary(rng, 8)
+            povm = Povm.projective([u[:, i] for i in range(8)])
+            results = measure(povm, StatisticalMatrix.pure(skewed_ket(rng, u)))
+            for i, r in enumerate(results):
+                assert r.post_state.close_to(StatisticalMatrix.pure(u[:, i]), tol=1e-7)
 
 
 class TestOrthogonality:

@@ -15,7 +15,7 @@ from conftest import (
     Z_MINUS,
     Z_PLUS,
 )
-from util import random_orthogonal_pair
+from util import random_orthogonal_pair, random_unitary, skewed_ket
 from qgas import thermo
 from qgas.errors import (
     DimensionError,
@@ -125,6 +125,16 @@ class TestSeparate:
             povm = Povm((rho.matrix, np.eye(2) - rho.matrix))
             _, event = separate(lab, "c", povm)
             assert event.heat_absorbed_by_gas <= 1e-12
+
+    def test_small_probability_outcomes(self, rng):
+        for _ in range(50):
+            u = random_unitary(rng, 8)
+            povm = Povm.projective([u[:, i] for i in range(8)])
+            gas = StatisticalMatrix.pure(skewed_ket(rng, u))
+            lab = lab_with(Chamber("c", 1.0, (GasComponent(gas, 1.0),)), dim=8)
+            new_lab, event = separate(lab, "c", povm)
+            assert len(new_lab.chambers) == 8
+            assert event.heat_absorbed_by_gas < 0
 
     def test_unknown_chamber(self):
         lab = lab_with(chamber("cell", 1.0, [(Z_PLUS, 1.0)]))

@@ -41,3 +41,14 @@ def random_orthogonal_pair(rng, dim):
     """Two orthogonal pure states."""
     u = random_unitary(rng, dim)
     return StatisticalMatrix.pure(u[:, 0]), StatisticalMatrix.pure(u[:, 1])
+
+
+def skewed_ket(rng, basis):
+    """Unit amplitude on one random column of the orthonormal basis and
+    amplitudes of 1e-4.5 to 1e-2.5, with random phases, on all the others:
+    outcome probabilities of about 1e-9 to 1e-5 in that basis."""
+    dim = basis.shape[0]
+    amps = 10.0 ** rng.uniform(-4.5, -2.5, size=dim)
+    amps = amps * np.exp(2j * np.pi * rng.uniform(size=dim))
+    amps[rng.integers(dim)] = 1.0
+    return basis @ amps
