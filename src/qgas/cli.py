@@ -1,7 +1,8 @@
 """Command-line front end: run protocol files and replay bundled demos.
 
 Exit codes: 0 on success (apparent second-law violations are findings, not
-failures), 1 on parse or runtime errors, 2 when an assert-closed step fails.
+failures), 1 on parse or runtime errors and on any unexpected internal
+error, 2 when an assert-closed step fails.
 Reports go to stdout, errors to stderr.  The ``records`` format emits one
 line-delimited record per ledger event and per verdict, stable to 12
 significant digits and byte-identical across identical invocations.
@@ -75,21 +76,18 @@ def _render_views(views: list[ObserverView]) -> list[str]:
     return lines
 
 
+def _verdict_records(result: protocol.ExecutionResult, observer_filter) -> list[str]:
+    return [v.to_record() for v in result.verdicts
+            if observer_filter in (None, v.observer)]
+
+
 def _render_table(result: protocol.ExecutionResult, observer_filter) -> str:
     lines = ["ledger:"]
     lines.extend(result.ledger.to_table())
-    verdicts = result.verdicts
-    if observer_filter is not None:
-        verdicts = [v for v in verdicts if v.observer == observer_filter]
+    verdicts = _verdict_records(result, observer_filter)
     if verdicts:
         lines.append("verdicts:")
-        for v in verdicts:
-            closed = "true" if v.cycle_closed else "false"
-            lines.append(
-                f"  observer={v.observer} from={v.from_checkpoint}"
-                f" qTotal={v.q_total:.12g} qOverT={v.q_over_t:.12g}"
-                f" cycleClosed={closed} classification={v.classification}"
-            )
+        lines.extend("  " + v.removeprefix("verdict ") for v in verdicts)
     names = result.observers
     if observer_filter is not None:
         names = {observer_filter: result.observers[observer_filter]}
@@ -99,11 +97,7 @@ def _render_table(result: protocol.ExecutionResult, observer_filter) -> str:
 
 
 def _render_records(result: protocol.ExecutionResult, observer_filter) -> str:
-    lines = result.ledger.to_records()
-    for v in result.verdicts:
-        if observer_filter is not None and v.observer != observer_filter:
-            continue
-        lines.append(v.to_record())
+    lines = result.ledger.to_records() + _verdict_records(result, observer_filter)
     return "\n".join(lines) + "\n"
 
 
@@ -171,6 +165,8 @@ def run_command(config: CliConfig) -> tuple[int, str, str]:
         return 1, "", f"runtime error: {exc}\n"
     except QgasError as exc:
         return 1, "", f"error: {exc}\n"
+    except Exception as exc:
+        return 1, "", f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 def main(argv=None) -> int:

@@ -87,6 +87,15 @@ def conjugate(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return hermitian_part(a @ rho @ a.conj().T)
 
 
+def check_orthonormal(columns: np.ndarray, error: type[Exception],
+                      message: str) -> None:
+    """Raise error(message) unless the columns are orthonormal: C^dagger C
+    equals the identity within 1e-10 entrywise (NaN fails)."""
+    gap = np.abs(columns.conj().T @ columns - np.eye(columns.shape[1]))
+    if not np.max(gap) <= 1e-10:
+        raise error(message)
+
+
 def projector(ket) -> np.ndarray:
     """Rank-one projector |k><k| onto a (normalized) ket."""
     k = as_ket(ket)

@@ -65,9 +65,8 @@ def build_observer(table, obs_dim: int, name: str = "observer") -> Observer:
         raise BasisError(
             f"table has {len(rows)} rows but the lab space needs {lab_dim}"
         )
-    gram = np.array([[np.vdot(a, b) for b, _ in rows] for a, _ in rows])
-    if float(np.max(np.abs(gram - np.eye(lab_dim)))) > _TOL:
-        raise BasisError("lab kets must form an orthonormal basis")
+    linalg.check_orthonormal(np.column_stack([lab for lab, _ in rows]),
+                             BasisError, "lab kets must form an orthonormal basis")
 
     # greedy first-fit grouping: a row joins the first sector whose images
     # stay orthonormal with its own, else starts a new sector
@@ -88,9 +87,9 @@ def build_observer(table, obs_dim: int, name: str = "observer") -> Observer:
         for lab, obs in sector:
             v += np.outer(obs, lab.conj())
         isometries.append(v)
-    total = sum(v.conj().T @ v for v in isometries)
-    if float(np.max(np.abs(total - np.eye(lab_dim)))) > _TOL:
-        raise BasisError("channel is not trace preserving")
+    # sum_k V_k^dag V_k = I: the stacked isometries have orthonormal columns
+    linalg.check_orthonormal(np.vstack(isometries), BasisError,
+                             "channel is not trace preserving")
 
     return Observer(
         name=name,

@@ -31,9 +31,13 @@ declared before use and all declarations must precede the first step.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
+
+import numpy as np
 
 from .audit import Verdict, audit as run_audit
 from .errors import (
@@ -70,8 +74,7 @@ KEYWORDS = frozenset(
 # ---------------------------------------------------------------------------
 # tokens
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # id | number | punct | arrow | sign
     text: str
     line: int
@@ -119,12 +122,12 @@ def _tokenize(text: str, lineno: int) -> list[_Token]:
             if not m:
                 raise ParseError(lineno, col, "malformed number", text[start:start + 8])
             i = m.end()
+            value = sign * float(m.group(1) + (m.group(2) or ""))
+            if not math.isfinite(value):
+                raise ParseError(lineno, col, "non-finite number", text[start:i])
             tokens.append(
-                _Token(
-                    "number", text[start:i], lineno, col,
-                    value=sign * float(m.group(1) + (m.group(2) or "")),
-                    imag=bool(m.group(3)), signed=signed,
-                )
+                _Token("number", text[start:i], lineno, col, value,
+                       imag=bool(m.group(3)), signed=signed)
             )
             continue
         if c in "+-":
@@ -796,9 +799,9 @@ def execute(ast: ProtocolAst, tol: float = 1e-9) -> ExecutionResult:
                     )
                 space = decl
             elif isinstance(decl, TempDecl):
-                if not decl.value > 0:
+                if not 0 < decl.value < math.inf:
                     raise DomainError(
-                        f"temperature must be positive, got {decl.value}"
+                        f"temperature must be positive and finite, got {decl.value}"
                     )
                 temperature = decl.value
             elif isinstance(decl, KetDecl):
@@ -871,11 +874,16 @@ def execute(ast: ProtocolAst, tol: float = 1e-9) -> ExecutionResult:
 
     ledger = Ledger()
     verdicts: list[Verdict] = []
+    # membranes and rotations depend on the declarations alone: each
+    # distinct one is built and checked at the first step that uses it,
+    # then reused by every later step that names it
+    povms: dict[PovmRef, Povm] = {}
+    unitaries: dict[tuple[tuple[str, str], ...], np.ndarray] = {}
 
     for index, step in enumerate(ast.steps):
         try:
             if isinstance(step, MixStep):
-                povm = _resolve_povm(step.povm, kets, observers)
+                povm = _resolve_povm(step.povm, kets, observers, povms)
                 lab, event = thermo.mix(lab, step.a, step.b, povm,
                                         name=step.target, step_index=index,
                                         tol=tol)
@@ -886,15 +894,19 @@ def execute(ast: ProtocolAst, tol: float = 1e-9) -> ExecutionResult:
                         canonical_contents(lab.chamber(step.chamber))
                     )
                 else:
-                    povm = _resolve_povm(step.povm, kets, observers)
+                    povm = _resolve_povm(step.povm, kets, observers, povms)
                 lab, event = thermo.separate(lab, step.chamber, povm,
                                              names=step.targets,
                                              step_index=index)
                 ledger.append(event)
             elif isinstance(step, RotateStep):
-                mapping = [(kets[a], kets[b]) for a, b in step.mapping]
-                lab, event = thermo.rotate(lab, step.chamber, mapping,
-                                           step_index=index)
+                if step.mapping not in unitaries:
+                    unitaries[step.mapping] = thermo.rotation_unitary(
+                        [(kets[a], kets[b]) for a, b in step.mapping], lab.lab_dim
+                    )
+                lab, event = thermo.rotate(lab, step.chamber,
+                                           unitaries[step.mapping],
+                                           len(step.mapping), step_index=index)
                 ledger.append(event)
             elif isinstance(step, PartitionStep):
                 lab, event = thermo.partition(lab, step.chamber, step.fraction,
@@ -935,12 +947,15 @@ def execute(ast: ProtocolAst, tol: float = 1e-9) -> ExecutionResult:
     return ExecutionResult(lab, ledger, verdicts, observers)
 
 
-def _resolve_povm(ref: PovmRef, kets, observers) -> Povm:
-    vectors = [kets[name] for name in ref.kets]
-    base = Povm.projective(vectors, labels=ref.kets)
-    if ref.lift is None:
-        return base
-    return lift_through(observers[ref.lift], base)
+def _resolve_povm(ref: PovmRef, kets, observers, built: dict) -> Povm:
+    """The membranes ref names, built at its first use and reused from
+    ``built`` after that."""
+    if ref not in built:
+        povm = Povm.projective([kets[name] for name in ref.kets], labels=ref.kets)
+        if ref.lift is not None:
+            povm = lift_through(observers[ref.lift], povm)
+        built[ref] = povm
+    return built[ref]
 
 
 # ---------------------------------------------------------------------------

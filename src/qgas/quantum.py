@@ -221,9 +221,9 @@ def lift_povm(povm: Povm, embedding) -> Povm:
     for o, _ in table[1:]:
         if o.size != obs_dim:
             raise EmbeddingError("observer kets must share one dimension")
-    gram = np.array([[np.vdot(a, b) for b, _ in table] for a, _ in table])
-    if float(np.max(np.abs(gram - np.eye(obs_dim)))) > 1e-10:
-        raise EmbeddingError("observer kets must form an orthonormal basis")
+    linalg.check_orthonormal(np.column_stack([o for o, _ in table]),
+                             EmbeddingError,
+                             "observer kets must form an orthonormal basis")
     sector_count = len(table[0][1])
     if sector_count == 0 or any(len(labs) != sector_count for _, labs in table):
         raise EmbeddingError("each observer ket needs one image per sector")
@@ -236,8 +236,8 @@ def lift_povm(povm: Povm, embedding) -> Povm:
         w = np.zeros((lab_dim, obs_dim), dtype=complex)
         for o, labs in table:
             w += np.outer(labs[k], o.conj())
-        if float(np.max(np.abs(w.conj().T @ w - np.eye(obs_dim)))) > 1e-10:
-            raise EmbeddingError(f"sector {k} images are not orthonormal")
+        linalg.check_orthonormal(w, EmbeddingError,
+                                 f"sector {k} images are not orthonormal")
         isometries.append(w)
     for j in range(sector_count):
         for k in range(j + 1, sector_count):

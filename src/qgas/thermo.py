@@ -51,8 +51,10 @@ class GasComponent:
     moles: float
 
     def __post_init__(self):
-        if not self.moles > 0:
-            raise DomainError(f"moles must be positive, got {self.moles}")
+        if not 0 < self.moles < math.inf:
+            raise DomainError(
+                f"moles must be positive and finite, got {self.moles}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +66,16 @@ class Chamber:
     contents: tuple[GasComponent, ...] = ()
 
     def __post_init__(self):
-        if not self.volume > 0:
-            raise DomainError(f"volume must be positive, got {self.volume}")
+        if not 0 < self.volume < math.inf:
+            raise DomainError(
+                f"volume must be positive and finite, got {self.volume}"
+            )
         dims = {c.state.dim for c in self.contents}
         if len(dims) > 1:
             raise DimensionError(f"components of {self.name!r} mix dimensions {dims}")
         object.__setattr__(self, "contents", tuple(self.contents))
+        if not math.isfinite(self.moles):
+            raise DomainError(f"chamber {self.name!r} holds {self.moles} moles")
 
     @property
     def moles(self) -> float:
@@ -86,8 +92,10 @@ class LabState:
     lab_dim: int
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise DomainError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise DomainError(
+                f"temperature must be positive and finite, got {self.temperature}"
+            )
 
     def chamber(self, name: str) -> Chamber:
         try:
@@ -113,6 +121,8 @@ class LedgerEvent:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise DomainError(f"unknown event kind {self.kind!r}")
+        if not math.isfinite(self.heat_absorbed_by_gas):
+            raise DomainError(f"heat must be finite, got {self.heat_absorbed_by_gas}")
         if self.heat_absorbed_by_gas != self.work_done_by_gas:
             raise DomainError("isothermal events must satisfy Q == W")
 
@@ -199,8 +209,8 @@ def isothermal_work(n: float, t: float, v_initial: float, v_final: float) -> flo
     n R T ln(v_final / v_initial), with R = 1."""
     for name, value in (("n", n), ("t", t), ("v_initial", v_initial),
                         ("v_final", v_final)):
-        if not value > 0:
-            raise DomainError(f"{name} must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
     return n * R * t * math.log(v_final / v_initial)
 
 
@@ -386,30 +396,34 @@ def rotation_unitary(mapping, dim: int) -> np.ndarray:
     if any(s.size != dim for s in sources) or any(i.size != dim for i in images):
         raise DimensionError("mapping kets must live in the lab space")
     for group, what in ((sources, "source"), (images, "image")):
-        gram = np.array([[np.vdot(u, v) for v in group] for u in group])
-        if float(np.max(np.abs(gram - np.eye(len(group))))) > 1e-10:
-            raise UnitaryError(f"{what} kets are not orthonormal")
+        linalg.check_orthonormal(np.column_stack(group), UnitaryError,
+                                 f"{what} kets are not orthonormal")
     sources = sources + _gram_schmidt_completion(sources, dim)
     images = images + _gram_schmidt_completion(images, dim)
     u = sum(np.outer(i, s.conj()) for s, i in zip(sources, images))
-    if float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))) > 1e-10:
-        raise UnitaryError("mapping does not extend to a unitary")
+    linalg.check_orthonormal(u, UnitaryError, "mapping does not extend to a unitary")
+    u.flags.writeable = False
     return u
 
 
-def rotate(lab: LabState, chamber: str, mapping,
+def rotate(lab: LabState, chamber: str, u: np.ndarray, mapped: int,
            step_index: int = 0) -> tuple[LabState, LedgerEvent]:
-    """Apply the unitary extending ``mapping`` to every component state of
-    the chamber.  Isochoric and energy-free: Q = W = 0."""
+    """Apply the unitary u, built by rotation_unitary from a mapping of
+    ``mapped`` kets, to every component state of the chamber.  Isochoric
+    and energy-free: Q = W = 0."""
     ch = lab.chamber(chamber)
-    u = rotation_unitary(mapping, lab.lab_dim)
+    if u.shape != (lab.lab_dim, lab.lab_dim):
+        raise DimensionError(
+            f"rotation of shape {u.shape} does not act on lab dim {lab.lab_dim}"
+        )
+    linalg.check_orthonormal(u, UnitaryError, "rotation is not unitary")
     contents = tuple(
         GasComponent(StatisticalMatrix(u @ c.state.matrix @ u.conj().T), c.moles)
         for c in ch.contents
     )
     rotated = Chamber(ch.name, ch.volume, _merge(contents))
     new_lab = _replace_chambers(lab, [chamber], [rotated])
-    desc = f"rotate {chamber} by a {len(mapping)}-ket mapping"
+    desc = f"rotate {chamber} by a {mapped}-ket mapping"
     return new_lab, LedgerEvent.isothermal(step_index, "rotate", 0.0, desc)
 
 

@@ -1,9 +1,11 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import LN2, SEPARATION_HEAT
+from qgas import protocol
 from qgas.cli import CliConfig, _cfmt, main, parse_records, run_command
 from qgas.errors import DomainError
 
@@ -132,6 +134,42 @@ class TestExitCodes:
         code, out, err = run_command(CliConfig("run", str(path)))
         assert (code, out) == (1, "")
         assert "line 2" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("source, where", [
+        ("space lab dim 1e400\n", "parse error: line 1, column 15: non-finite"),
+        ("space lab dim 2\ntemp 1e400\n", "parse error: line 2, column 6: non-finite"),
+        ("space lab dim 2\nchamber c volume 1e999\n",
+         "parse error: line 2, column 18: non-finite"),
+        # two finite volumes whose sum overflows
+        ("space lab dim 2\nket z+ = [1, 0]\nket z- = [0, 1]\n"
+         "gas up from ket z+\ngas down from ket z-\n"
+         "chamber a volume 1e308\nchamber b volume 1e308\n"
+         "fill a { up : 1.0 } moles 0.5\nfill b { down : 1.0 } moles 0.5\n"
+         "mix a b into c by povm { z+, z- }\n",
+         "runtime error: step 0 (line 10): volume must be positive and finite"),
+        # two finite mole counts whose sum overflows
+        ("space lab dim 2\nket z+ = [1, 0]\nket z- = [0, 1]\n"
+         "gas up from ket z+\ngas down from ket z-\n"
+         "chamber a volume 1.0\nchamber b volume 1.0\n"
+         "fill a { up : 1.0 } moles 1.5e308\nfill b { down : 1.0 } moles 1.5e308\n"
+         "mix a b into c by povm { z+, z- }\n",
+         "runtime error: step 0 (line 10): chamber 'c' holds inf moles"),
+    ], ids=["dim", "temp", "volume", "volume-sum", "moles-sum"])
+    def test_non_finite_input_exits_1(self, tmp_path, source, where):
+        path = tmp_path / "huge.qgp"
+        path.write_text(source)
+        code, out, err = run_command(CliConfig("run", str(path)))
+        assert (code, out) == (1, "")
+        assert err.startswith(where)
+
+    def test_unexpected_exception_exits_1(self, monkeypatch):
+        def broken(ast, tol):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(protocol, "execute", broken)
+        code, out, err = run_command(CliConfig("demo", "perfect-separation"))
+        assert (code, out) == (1, "")
+        assert err == "internal error: LinAlgError: Eigenvalues did not converge\n"
 
     def test_runtime_error_exits_1(self, tmp_path):
         path = tmp_path / "bad-mix.qgp"

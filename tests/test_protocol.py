@@ -1,10 +1,11 @@
 import math
+import string
 
 import numpy as np
 import pytest
 
 from conftest import LN2, P_HI, P_LO, SEPARATION_HEAT
-from qgas import protocol
+from qgas import protocol, thermo
 from qgas.errors import (
     AssertClosedError,
     DomainError,
@@ -22,6 +23,7 @@ from qgas.protocol import (
     parse,
     render,
 )
+from qgas.quantum import Povm
 
 MINI = """\
 space lab dim 2
@@ -289,3 +291,116 @@ class TestLedgerDetails:
         dx = np.zeros((4, 4))
         dx[2:, 2:] = 0.5
         assert np.max(np.abs(low.contents[0].state.matrix - dx)) < 1e-9
+
+
+REUSE_HEAD = """\
+space lab dim 2
+ket z+ = [1, 0]
+ket z- = [0, 1]
+ket x+ = [1, 1]
+ket x- = [1, -1]
+gas up from ket z+
+gas down from ket z-
+chamber a volume 0.5
+chamber b volume 0.5
+fill a { up : 1.0 } moles 0.5
+fill b { down : 1.0 } moles 0.5
+checkpoint start
+"""
+
+REUSE_BLOCK = """\
+mix a b into m by povm { z+, z- }
+separate m by povm { z+, z- } into a b
+rotate a map { z+ -> x+, z- -> x- }
+rotate a map { x+ -> z+, x- -> z- }
+"""
+
+
+class TestOperatorReuse:
+    def test_each_operator_built_once(self, monkeypatch):
+        built = {"povm": 0, "unitary": 0}
+        post_init = Povm.__post_init__
+        rotation_unitary = thermo.rotation_unitary
+
+        def counting_post_init(povm):
+            built["povm"] += 1
+            post_init(povm)
+
+        def counting_unitary(*args):
+            built["unitary"] += 1
+            return rotation_unitary(*args)
+
+        monkeypatch.setattr(Povm, "__post_init__", counting_post_init)
+        monkeypatch.setattr(thermo, "rotation_unitary", counting_unitary)
+        result = execute(parse(REUSE_HEAD + REUSE_BLOCK * 5))
+        assert [e.kind for e in result.ledger.events[1:5]] == [
+            "mix", "separate", "rotate", "rotate"]
+        assert len(result.ledger.events) == 1 + 4 * 5
+        # one membrane for every mix and separate, one unitary per mapping
+        assert built == {"povm": 1, "unitary": 2}
+
+    @pytest.mark.parametrize("step, message", [
+        ("rotate a map { z+ -> x+, z- -> x+ }", "image kets are not orthonormal"),
+        ("mix a b into m by povm { z+, x+ }", "effects do not resolve the identity"),
+    ], ids=["rotation", "membrane"])
+    def test_bad_operator_fails_at_its_first_use(self, step, message):
+        source = REUSE_HEAD + REUSE_BLOCK * 2 + step + "\n"
+        with pytest.raises(ProtocolRuntimeError) as err:
+            execute(parse(source))
+        assert (err.value.step_index, err.value.line) == (9, 21)
+        assert str(err.value).startswith(f"step 9 (line 21): {message}")
+
+
+PERES = """\
+space lab dim 4
+ket pz+ = [1, 0, 0, 0]
+ket pz- = [0, 1, 0, 0]
+ket dz+ = [0, 0, 1, 0]
+ket dz- = [0, 0, 0, 1]
+ket px+ = [$c, $s, 0, 0]
+ket dx+ = [0, 0, $c, $s]
+ket pa+ = [$ch, $sh, 0, 0]
+ket pa- = [-$sh, $ch, 0, 0]
+ket da+ = [0, 0, $ch, $sh]
+ket da- = [0, 0, -$sh, $ch]
+ket z+ = [1, 0]
+ket z- = [0, 1]
+ket a+ = [$ch, $sh]
+ket a- = [-$sh, $ch]
+ket sp = [1, 0]
+ket sd = [0, 1]
+observer tatiana table { pz+ -> z+, pz- -> z-, dz+ -> z+, dz- -> z- } dim 2
+observer species table { pz+ -> sp, pz- -> sp, dz+ -> sd, dz- -> sd } dim 2
+gas p-gas from ket pz+
+gas d-gas from ket dx+
+chamber up volume 0.5
+chamber low volume 0.5
+fill up { p-gas : 1.0 } moles 0.5
+fill low { d-gas : 1.0 } moles 0.5
+checkpoint start
+mix up low into cell by povm lift species { sp, sd }
+separate cell by povm lift tatiana { a+, a- } into hi lo
+rotate hi map { pa+ -> pz+, da+ -> dz+ }
+rotate lo map { pa- -> pz+, da- -> dz+ }
+join hi lo into cell
+partition cell at 0.5 into up low
+rotate low map { pz+ -> px+, dz+ -> dx+ }
+assert-closed tatiana from start
+audit tatiana from start
+"""
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2 * k / 8 for k in range(1, 9)])
+def test_peres_cycle_heat_closed_form(theta):
+    """The peres-tatiana cycle with the second gas at angle theta and the
+    alpha membranes at theta/2: the coarse observer sees a closed cycle
+    with heat ln 2 - H((1 + cos theta)/2), H the Shannon entropy in nats."""
+    angles = {"c": math.cos(theta), "s": math.sin(theta),
+              "ch": math.cos(theta / 2), "sh": math.sin(theta / 2)}
+    source = string.Template(PERES).substitute(
+        {k: repr(v) for k, v in angles.items()})
+    (verdict,) = execute(parse(source)).verdicts
+    p = (1 + math.cos(theta)) / 2
+    entropy = -p * math.log(p) - (1 - p) * math.log(1 - p)
+    assert verdict.cycle_closed
+    assert verdict.q_total == pytest.approx(LN2 - entropy, abs=1e-9)

@@ -39,6 +39,7 @@ from qgas.thermo import (
     mix,
     partition,
     rotate,
+    rotation_unitary,
     separate,
 )
 
@@ -77,6 +78,40 @@ class TestIsothermalWork:
         for args in ((0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
             with pytest.raises(DomainError):
                 isothermal_work(*args)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        for i in range(4):
+            args = [1.0, 1.0, 1.0, 1.0]
+            args[i] = bad
+            with pytest.raises(DomainError):
+                isothermal_work(*args)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_constructors_reject_non_finite(bad):
+    with pytest.raises(DomainError, match="finite"):
+        GasComponent(StatisticalMatrix(Z_PLUS), bad)
+    with pytest.raises(DomainError, match="finite"):
+        Chamber("c", bad)
+    with pytest.raises(DomainError, match="finite"):
+        LabState(bad, {}, 2)
+    with pytest.raises(DomainError, match="finite"):
+        LedgerEvent.isothermal(1, "mix", bad, "overflowed")
+
+
+def test_chamber_rejects_overflowing_moles():
+    parts = [(Z_PLUS, 1.5e308), (Z_MINUS, 1.5e308)]
+    with pytest.raises(DomainError, match="inf moles"):
+        chamber("c", 1.0, parts)
+
+
+def test_mix_overflowing_volume_rejected():
+    big = 1e308
+    lab = lab_with(chamber("a", big, [(Z_PLUS, 0.5)]),
+                   chamber("b", big, [(Z_MINUS, 0.5)]))
+    with pytest.raises(DomainError, match="volume"):
+        mix(lab, "a", "b", z_povm())
 
 
 class TestSeparate:
@@ -212,7 +247,7 @@ class TestRotate:
     def test_rotation_to_other_gas(self):
         a_plus = [math.cos(math.pi / 8), math.sin(math.pi / 8)]
         lab = lab_with(chamber("c", 1.0, [(ALPHA_PLUS, 1.0)]))
-        new_lab, event = rotate(lab, "c", [(a_plus, E2[0])])
+        new_lab, event = rotate(lab, "c", rotation_unitary([(a_plus, E2[0])], 2), 1)
         assert new_lab.chambers["c"].contents[0].state.close_to(
             StatisticalMatrix(Z_PLUS), tol=1e-10
         )
@@ -220,7 +255,8 @@ class TestRotate:
 
     def test_identity_mapping(self):
         lab = lab_with(chamber("c", 1.0, [(X_PLUS, 1.0)]))
-        new_lab, _ = rotate(lab, "c", [(E2[0], E2[0]), (E2[1], E2[1])])
+        u = rotation_unitary([(E2[0], E2[0]), (E2[1], E2[1])], 2)
+        new_lab, _ = rotate(lab, "c", u, 2)
         assert new_lab.chambers["c"].contents[0].state.close_to(
             StatisticalMatrix(X_PLUS)
         )
@@ -232,7 +268,7 @@ class TestRotate:
         state = 0.5 * np.outer(pa, pa) + 0.5 * np.outer(da, da)
         lab = lab_with(Chamber("c", 1.0, (GasComponent(StatisticalMatrix(state), 1.0),)), dim=4)
         e = np.eye(4)
-        new_lab, _ = rotate(lab, "c", [(pa, e[0]), (da, e[2])])
+        new_lab, _ = rotate(lab, "c", rotation_unitary([(pa, e[0]), (da, e[2])], 4), 2)
         want = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
         got = new_lab.chambers["c"].contents[0].state.matrix
         assert np.max(np.abs(got - want)) < 1e-10
@@ -241,9 +277,21 @@ class TestRotate:
         lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
         overlapping = [(E2[0], E2[0]), ([1, 1], E2[1])]
         with pytest.raises(UnitaryError):
-            rotate(lab, "c", overlapping)
+            rotate(lab, "c", rotation_unitary(overlapping, 2), 2)
         with pytest.raises(UnitaryError):
-            rotate(lab, "c", [(E2[0], E2[0]), (E2[1], E2[0])])
+            rotate(lab, "c", rotation_unitary([(E2[0], E2[0]), (E2[1], E2[0])], 2), 2)
+
+    def test_rotation_matrix_checked(self):
+        lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
+        with pytest.raises(UnitaryError):
+            rotate(lab, "c", np.array([[1, 1], [0, 1]], dtype=complex), 2)
+        with pytest.raises(DimensionError):
+            rotate(lab, "c", np.eye(4, dtype=complex), 2)
+
+    def test_built_unitary_is_read_only(self):
+        u = rotation_unitary([(E2[0], E2[1])], 2)
+        with pytest.raises(ValueError):
+            u[0, 0] = 1.0
 
 
 class TestPartitionJoin:
