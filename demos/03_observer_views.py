@@ -4,7 +4,7 @@ Two labs can disagree about what a chamber holds because they describe it
 in different Hilbert spaces.  An observer maps the 4-dimensional ground
 truth onto her own smaller space with one isometry per "sector" she cannot
 tell apart; measurements she owns lift back to the lab space through the
-same table.
+dual of that channel.
 """
 
 import numpy as np
@@ -53,7 +53,7 @@ for chamber_view in view(tatiana, lab).chambers:
         print(np.round(state.matrix.real, 6))
 
 # her alpha membranes, written in her 2-dim space, act on the lab through
-# the embedding: one copy per sector
+# the dual channel A -> sum_k V_k^dag A V_k: one copy per sector
 c8, s8 = np.cos(np.pi / 8), np.sin(np.pi / 8)
 her_membranes = Povm.projective([[c8, s8], [-s8, c8]], labels=("a+", "a-"))
 lab_membranes = lift_through(tatiana, her_membranes)

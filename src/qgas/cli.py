@@ -11,6 +11,7 @@ significant digits and byte-identical across identical invocations.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -35,8 +36,8 @@ class CliConfig:
     observer: str | None = None
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise DomainError(f"tol must be positive and finite, got {self.tol}")
 
 
 def _snap(x: float) -> float:

@@ -30,7 +30,8 @@ class WeightError(QgasError):
 
 
 class EmbeddingError(QgasError):
-    """An observer-to-lab embedding table is incomplete or inconsistent."""
+    """An observer sector does not realize the whole observer space, so
+    observer-space membranes cannot be lifted to the lab."""
 
 
 class DomainError(QgasError):

@@ -6,7 +6,8 @@ lab-basis kets and the observer kets they look like.  Rows whose images form
 an orthonormal set are grouped into one sector, and each sector k yields one
 isometry V_k = sum_rows |obs><lab|; the channel is rho -> sum_k V_k rho V_k^dag.
 Cross-sector coherences are dropped, which is exactly what "cannot tell the
-sectors apart" means operationally.
+sectors apart" means operationally.  Membranes written in the observer's space
+reach the lab through the dual channel A -> sum_k V_k^dag A V_k.
 
 The same machinery covers classical gases: two argon varieties are two
 orthogonal basis states of a 2-dimensional lab space, a species-blind
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, quantum
+from . import linalg
 from .errors import BasisError, DimensionError, EmbeddingError, SectorError, ShapeError
 from .quantum import Povm, StatisticalMatrix
 from .thermo import Chamber, LabState, aggregate_state
@@ -30,14 +31,12 @@ _TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Observer:
-    """Named coarse-graining channel, kept with the table that built it."""
+    """Named coarse-graining channel, one isometry per sector."""
 
     name: str
     obs_dim: int
     lab_dim: int
     sector_isometries: tuple[np.ndarray, ...]
-    #: sector k -> ordered (lab_ket, obs_ket) rows
-    sectors: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]
 
     @property
     def is_identity(self) -> bool:
@@ -96,7 +95,6 @@ def build_observer(table, obs_dim: int, name: str = "observer") -> Observer:
         obs_dim=obs_dim,
         lab_dim=lab_dim,
         sector_isometries=tuple(isometries),
-        sectors=tuple(tuple(sector) for sector in sectors),
     )
 
 
@@ -116,34 +114,25 @@ def coarse_grain(obs: Observer, rho: StatisticalMatrix) -> StatisticalMatrix:
     return StatisticalMatrix(out, label=rho.label)
 
 
-def embedding_table(obs: Observer):
-    """The observer's embedding: each observer basis ket with its lab image
-    in every sector.  Exists only when every sector realizes the same full
-    observer basis; raises EmbeddingError otherwise."""
-    reference = [obs_ket for _, obs_ket in obs.sectors[0]]
-    if len(reference) != obs.obs_dim:
-        raise EmbeddingError(
-            f"sector 0 realizes only {len(reference)} of {obs.obs_dim} basis kets"
-        )
-    table = []
-    for ref in reference:
-        images = []
-        for k, sector in enumerate(obs.sectors):
-            match = None
-            for lab, obs_ket in sector:
-                if float(np.max(np.abs(obs_ket - ref))) <= _TOL:
-                    match = lab
-                    break
-            if match is None:
-                raise EmbeddingError(f"sector {k} has no image for a basis ket")
-            images.append(match)
-        table.append((ref, images))
-    return table
-
-
 def lift_through(obs: Observer, povm: Povm) -> Povm:
-    """Lift an observer-space POVM to the lab space via the observer table."""
-    return quantum.lift_povm(povm, embedding_table(obs))
+    """Lift an observer-space POVM to the lab space through the dual of the
+    coarse-graining channel: each effect A becomes sum_k V_k^dag A V_k.
+
+    Every sector must realize the whole observer space (V_k V_k^dag = I), so
+    that the lifted effects again resolve the lab identity.
+    """
+    if povm.dim != obs.obs_dim:
+        raise DimensionError(
+            f"povm dim {povm.dim} does not match observer dim {obs.obs_dim}"
+        )
+    for k, v in enumerate(obs.sector_isometries):
+        linalg.check_orthonormal(v.conj().T, EmbeddingError,
+                                 f"sector {k} does not realize the observer space")
+    lifted = tuple(
+        sum(v.conj().T @ a @ v for v in obs.sector_isometries)
+        for a in povm.effects
+    )
+    return Povm(lifted, povm.outcome_labels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,8 +25,9 @@ statement per line, '#' comments, whitespace-insensitive within a line:
 
 A povm-ref names kets whose rank-one projectors form the membranes; with
 ``lift`` the kets live in the named observer's space and the projectors are
-lifted to the lab space through that observer's table.  Identifiers must be
-declared before use and all declarations must precede the first step.
+lifted to the lab space through the dual of that observer's channel.
+Identifiers must be declared before use and all declarations must precede
+the first step.
 """
 
 from __future__ import annotations
@@ -250,54 +251,54 @@ class _Cursor:
 # AST
 
 @dataclass(frozen=True)
-class SpaceDecl:
+class _Node:
+    """A statement, carrying its source line (ignored by equality)."""
+
+    line: int = field(default=0, compare=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class SpaceDecl(_Node):
     name: str
     dim: int
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class TempDecl:
+class TempDecl(_Node):
     value: float
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class KetDecl:
+class KetDecl(_Node):
     name: str
     amplitudes: tuple[complex, ...]
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class GasDecl:
+class GasDecl(_Node):
     name: str
     ket: str | None = None
     matrix: tuple[tuple[complex, ...], ...] | None = None
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class ObserverDecl:
+class ObserverDecl(_Node):
     name: str
     table: tuple[tuple[str, str], ...]
     dim: int
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class ChamberDecl:
+class ChamberDecl(_Node):
     name: str
     volume: float
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class FillDecl:
+class FillDecl(_Node):
     chamber: str
     parts: tuple[tuple[str, float], ...]
     moles: float
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
@@ -307,69 +308,55 @@ class PovmRef:
 
 
 @dataclass(frozen=True)
-class MixStep:
+class MixStep(_Node):
     a: str
     b: str
     target: str
     povm: PovmRef
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class SeparateStep:
+class SeparateStep(_Node):
     chamber: str
     povm: PovmRef | None  # None means "by eigenbasis"
     targets: tuple[str, ...]
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class RotateStep:
+class RotateStep(_Node):
     chamber: str
     mapping: tuple[tuple[str, str], ...]
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class PartitionStep:
+class PartitionStep(_Node):
     chamber: str
     fraction: float
     targets: tuple[str, str]
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class JoinStep:
+class JoinStep(_Node):
     a: str
     b: str
     target: str
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class CheckpointStep:
+class CheckpointStep(_Node):
     label: str
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class AssertClosedStep:
+class AssertClosedStep(_Node):
     observer: str
     checkpoint: str
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class AuditStep:
+class AuditStep(_Node):
     observer: str
     checkpoint: str
-    line: int = field(compare=False, default=0)
-
-
-DECL_TYPES = (SpaceDecl, TempDecl, KetDecl, GasDecl, ObserverDecl,
-              ChamberDecl, FillDecl)
-STEP_TYPES = (MixStep, SeparateStep, RotateStep, PartitionStep, JoinStep,
-              CheckpointStep, AssertClosedStep, AuditStep)
 
 
 @dataclass(frozen=True)
@@ -780,6 +767,8 @@ def execute(ast: ProtocolAst, tol: float = 1e-9) -> ExecutionResult:
     ProtocolRuntimeError carrying the step index; a failed assert-closed
     raises AssertClosedError with the observer and differing chamber.
     """
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     kets: dict[str, object] = {}
     gases: dict[str, StatisticalMatrix] = {}
     observers: dict[str, Observer] = {}

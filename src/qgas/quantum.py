@@ -16,7 +16,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionError,
-    EmbeddingError,
     NotHermitianError,
     PovmError,
     StateError,
@@ -184,9 +183,9 @@ def optimal_separation_povm(components) -> Povm:
     if not components:
         raise WeightError("empty mixture")
     weights = [float(w) for w, _ in components]
-    if any(w <= 0 for w in weights):
+    if any(not w > 0 for w in weights):
         raise WeightError(f"weights must be positive, got {weights}")
-    if abs(sum(weights) - 1.0) > 1e-10:
+    if not abs(sum(weights) - 1.0) <= 1e-10:
         raise WeightError(f"weights must sum to 1, got {sum(weights):.12g}")
     mats = []
     for _, s in components:
@@ -199,57 +198,3 @@ def optimal_separation_povm(components) -> Povm:
     _, vecs = linalg.hermitian_eig(aggregate)
     kets = [vecs[:, i] for i in range(dim)]
     return Povm.projective(kets, labels=tuple(f"eig{i}" for i in range(dim)))
-
-
-def lift_povm(povm: Povm, embedding) -> Povm:
-    """Lift an observer-space POVM to the lab space through an embedding.
-
-    ``embedding`` lists pairs (observer_ket, lab_kets), where lab_kets holds
-    that observer ket's image in each lab sector.  An observer-space effect A
-    lifts to sum_k W_k A W_k^dag with W_k the sector-k embedding isometry, so
-    a rank-one projector becomes the sum of the projectors onto its images.
-    """
-    table = [(linalg.as_ket(o), [linalg.as_ket(l) for l in labs])
-             for o, labs in embedding]
-    if not table:
-        raise EmbeddingError("empty embedding table")
-    obs_dim = table[0][0].size
-    if len(table) != obs_dim:
-        raise EmbeddingError(
-            f"embedding covers {len(table)} kets, observer space needs {obs_dim}"
-        )
-    for o, _ in table[1:]:
-        if o.size != obs_dim:
-            raise EmbeddingError("observer kets must share one dimension")
-    linalg.check_orthonormal(np.column_stack([o for o, _ in table]),
-                             EmbeddingError,
-                             "observer kets must form an orthonormal basis")
-    sector_count = len(table[0][1])
-    if sector_count == 0 or any(len(labs) != sector_count for _, labs in table):
-        raise EmbeddingError("each observer ket needs one image per sector")
-    lab_dim = table[0][1][0].size
-    if any(l.size != lab_dim for _, labs in table for l in labs):
-        raise EmbeddingError("lab kets must share one dimension")
-
-    isometries = []
-    for k in range(sector_count):
-        w = np.zeros((lab_dim, obs_dim), dtype=complex)
-        for o, labs in table:
-            w += np.outer(labs[k], o.conj())
-        linalg.check_orthonormal(w, EmbeddingError,
-                                 f"sector {k} images are not orthonormal")
-        isometries.append(w)
-    for j in range(sector_count):
-        for k in range(j + 1, sector_count):
-            overlap = float(np.max(np.abs(isometries[j].conj().T @ isometries[k])))
-            if overlap > 1e-10:
-                raise EmbeddingError(f"sectors {j} and {k} overlap in the lab space")
-
-    if povm.dim != obs_dim:
-        raise DimensionError(
-            f"povm dim {povm.dim} does not match observer dim {obs_dim}"
-        )
-    lifted = tuple(
-        sum(w @ a @ w.conj().T for w in isometries) for a in povm.effects
-    )
-    return Povm(lifted, povm.outcome_labels)

@@ -30,7 +30,7 @@ from .errors import (
     UnknownChamberError,
     UnknownCheckpointError,
 )
-from .quantum import Povm, StatisticalMatrix
+from .quantum import Povm, StatisticalMatrix, measure
 
 R = 1.0
 
@@ -305,16 +305,14 @@ def separate(lab: LabState, chamber: str, povm: Povm, names=None,
     new_chambers = []
     q = 0.0
     parts = []
-    for i, (effect, label) in enumerate(zip(povm.effects, povm.outcome_labels)):
-        collected = []
-        for comp in ch.contents:
-            raw = linalg.conjugate(effect, comp.state.matrix)
-            p = float(np.real(np.trace(raw)))
-            moles = comp.moles * p
-            if moles > PRUNE:
-                collected.append(
-                    GasComponent(StatisticalMatrix(raw / p, label=label), moles)
-                )
+    outcomes = [measure(povm, comp.state) for comp in ch.contents]
+    for i in range(len(povm)):
+        collected = [
+            GasComponent(res[i].post_state, comp.moles * res[i].probability)
+            for comp, res in zip(ch.contents, outcomes)
+            if res[i].post_state is not None
+            and comp.moles * res[i].probability > PRUNE
+        ]
         fraction = sum(c.moles for c in collected) / n_total
         if fraction <= PRUNE:
             continue

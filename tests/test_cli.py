@@ -241,6 +241,12 @@ class TestMainEntry:
     def test_bad_tolerance(self, capsys):
         assert main(["demo", "peres-tatiana", "--tol", "-1"]) == 1
         assert "tol" in capsys.readouterr().err
+        # an infinite tolerance would call willard's open cycle closed
+        assert main(["demo", "peres-willard", "--format", "records",
+                     "--tol", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol" in captured.err
 
     def test_module_invocation_deterministic(self):
         runs = [
@@ -261,3 +267,6 @@ class TestMainEntry:
 def test_cli_config_validates_tol():
     with pytest.raises(DomainError):
         CliConfig("demo", "peres-tatiana", tol=0.0)
+    with pytest.raises(DomainError):
+        CliConfig("demo", "peres-tatiana", tol=float("inf"))
+

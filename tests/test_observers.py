@@ -5,7 +5,9 @@ import pytest
 
 from conftest import (
     ALPHA_MINUS,
+    ALPHA_MINUS_KET,
     ALPHA_PLUS,
+    ALPHA_PLUS_KET,
     MIXTURE,
     P_HI,
     P_LO,
@@ -19,13 +21,12 @@ from qgas.errors import BasisError, DimensionError, EmbeddingError, ShapeError
 from qgas.observers import (
     build_observer,
     coarse_grain,
-    embedding_table,
     identity_observer,
     lift_through,
     states_equivalent,
     view,
 )
-from qgas.quantum import StatisticalMatrix, measure
+from qgas.quantum import Povm, StatisticalMatrix, measure
 from qgas.thermo import Chamber, GasComponent, LabState
 
 E4 = np.eye(4, dtype=complex)
@@ -136,13 +137,78 @@ class TestLiftConsistency:
                     for r in measure(povm, coarse_grain(obs, rho_lab))]
             assert got == pytest.approx(want, abs=1e-9)
 
-    def test_embedding_requires_shared_basis(self):
-        # sector 1 realizes a rotated observer basis: no embedding exists
+    def test_sectors_may_realize_different_bases(self):
+        # sector 1 realizes a rotated observer basis; the dual channel
+        # needs no basis shared across sectors
         u = np.array([[1, 1], [1, -1]]) / R2
         table = [(E4[0], E2[0]), (E4[1], E2[1]), (E4[2], u[:, 0]), (E4[3], u[:, 1])]
         obs = build_observer(table, 2, "skew")
-        with pytest.raises(EmbeddingError):
-            embedding_table(obs)
+        povm = apovm()
+        lifted = lift_through(obs, povm)
+        for v in obs.sector_isometries:
+            for rho_obs in (StatisticalMatrix(Z_PLUS), StatisticalMatrix(MIXTURE)):
+                rho_lab = StatisticalMatrix(v.conj().T @ rho_obs.matrix @ v)
+                got = [r.probability for r in measure(lifted, rho_lab)]
+                want = [r.probability
+                        for r in measure(povm, coarse_grain(obs, rho_lab))]
+                assert got == pytest.approx(want, abs=1e-12)
+
+
+def zpovm():
+    return Povm.projective([E2[0], E2[1]], labels=("z+", "z-"))
+
+
+def apovm():
+    return Povm.projective([ALPHA_PLUS_KET, ALPHA_MINUS_KET], labels=("a+", "a-"))
+
+
+class TestLiftThrough:
+    def test_alpha_membranes_lift_to_block_form(self):
+        lifted = lift_through(tatiana(), apovm())
+        for sign, effect in zip((+1, -1), lifted.effects):
+            block = np.array([[2 + sign * R2, sign * R2],
+                              [sign * R2, 2 - sign * R2]]) / 4
+            expected = np.zeros((4, 4), dtype=complex)
+            expected[:2, :2] = block
+            expected[2:, 2:] = block
+            assert np.max(np.abs(effect - expected)) < 1e-12
+
+    def test_z_membranes_lift_by_sector_sum(self):
+        lifted = lift_through(tatiana(), zpovm())
+        assert np.allclose(lifted.effects[0], np.diag([1, 0, 1, 0]))
+        assert np.allclose(lifted.effects[1], np.diag([0, 1, 0, 1]))
+        assert lifted.outcome_labels == ("z+", "z-")
+        total = sum(a.conj().T @ a for a in lifted.effects)
+        assert np.max(np.abs(total - np.eye(4))) < 1e-12
+
+    def test_identity_povm_lifts_to_identity(self):
+        lifted = lift_through(tatiana(), Povm((np.eye(2),), ("id",)))
+        assert np.allclose(lifted.effects[0], np.eye(4))
+
+    def test_probabilities_commute_with_lift(self):
+        # measuring the lifted membranes on a state supported in one sector
+        # reproduces the observer-space probabilities
+        obs = tatiana()
+        rho_obs = StatisticalMatrix(MIXTURE)
+        lifted = lift_through(obs, apovm())
+        for v in obs.sector_isometries:
+            rho_lab = StatisticalMatrix(v.conj().T @ rho_obs.matrix @ v)
+            got = [r.probability for r in measure(lifted, rho_lab)]
+            want = [r.probability for r in measure(apovm(), rho_obs)]
+            assert got == pytest.approx(want, abs=1e-10)
+
+    def test_short_sector_rejected(self):
+        # e2 and e3 both look like z+: three sectors, two of them realize
+        # only z+ and cannot carry a z- membrane into the lab
+        table = [(E4[0], E2[0]), (E4[1], E2[1]), (E4[2], E2[0]), (E4[3], E2[0])]
+        obs = build_observer(table, 2, "short")
+        assert len(obs.sector_isometries) == 3
+        with pytest.raises(EmbeddingError, match="sector 1"):
+            lift_through(obs, zpovm())
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            lift_through(tatiana(), Povm.projective(list(E4)))
 
 
 class TestView:

@@ -100,6 +100,13 @@ class TestRoundTrip:
         assert first == second
         assert render(second) == text
 
+    def test_line_is_keyword_only_and_not_compared(self):
+        assert ChamberDecl("A", 0.5) == ChamberDecl("A", 0.5, line=7)
+        assert hash(ChamberDecl("A", 0.5)) == hash(ChamberDecl("A", 0.5, line=7))
+        assert ChamberDecl("A", 0.5, line=7).line == 7
+        with pytest.raises(TypeError):
+            ChamberDecl("A", 0.5, 7)
+
     def test_round_trip_with_complex_numbers(self):
         source = (
             "space s dim 2\n"
@@ -243,6 +250,11 @@ class TestExecute:
             execute(parse(source))
         message = str(err.value)
         assert "me" in message and "'c'" in message
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            protocol.run_demo("peres-willard", tol=tol)
 
     def test_unknown_demo(self):
         with pytest.raises(DomainError):

@@ -19,7 +19,6 @@ from conftest import (
 from util import random_povm, random_state, random_unitary, skewed_ket
 from qgas.errors import (
     DimensionError,
-    EmbeddingError,
     NotHermitianError,
     PovmError,
     StateError,
@@ -29,17 +28,12 @@ from qgas.quantum import (
     Povm,
     StatisticalMatrix,
     are_orthogonal,
-    lift_povm,
     measure,
     optimal_separation_povm,
 )
 
 E0, E1, E2, E3 = np.eye(4, dtype=complex)
 Z2 = np.eye(2, dtype=complex)
-
-# the coarse observer's embedding of her 2-dim kets into the 4-dim lab:
-# z+ sits at e0 in sector 0 and e2 in sector 1, z- at e1 and e3
-TATIANA_EMBEDDING = [(Z2[0], [E0, E2]), (Z2[1], [E1, E3])]
 
 
 def sm(matrix, label=None):
@@ -228,49 +222,9 @@ class TestOptimalSeparation:
         with pytest.raises(WeightError):
             optimal_separation_povm([(1.5, sm(Z_PLUS)), (-0.5, sm(Z_MINUS))])
 
+    @pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_weight_rejected(self, weights):
+        with pytest.raises(WeightError):
+            optimal_separation_povm(
+                [(weights[0], sm(Z_PLUS)), (weights[1], sm(X_PLUS))])
 
-class TestLiftPovm:
-    def test_alpha_membranes_lift_to_block_form(self):
-        lifted = lift_povm(apovm(), TATIANA_EMBEDDING)
-        for sign, effect in zip((+1, -1), lifted.effects):
-            block = np.array([[2 + sign * R2, sign * R2],
-                              [sign * R2, 2 - sign * R2]]) / 4
-            expected = np.zeros((4, 4), dtype=complex)
-            expected[:2, :2] = block
-            expected[2:, 2:] = block
-            assert np.max(np.abs(effect - expected)) < 1e-12
-
-    def test_z_membranes_lift_by_sector_sum(self):
-        lifted = lift_povm(zpovm(), TATIANA_EMBEDDING)
-        assert np.allclose(lifted.effects[0], np.diag([1, 0, 1, 0]))
-        assert np.allclose(lifted.effects[1], np.diag([0, 1, 0, 1]))
-        total = sum(a.conj().T @ a for a in lifted.effects)
-        assert np.max(np.abs(total - np.eye(4))) < 1e-12
-
-    def test_identity_povm_lifts_to_identity(self):
-        lifted = lift_povm(Povm((np.eye(2),), ("id",)), TATIANA_EMBEDDING)
-        assert np.allclose(lifted.effects[0], np.eye(4))
-
-    def test_incomplete_embedding_rejected(self):
-        with pytest.raises(EmbeddingError):
-            lift_povm(zpovm(), [(Z2[0], [E0, E2])])
-        with pytest.raises(EmbeddingError):
-            lift_povm(zpovm(), [(Z2[0], [E0, E2]), (Z2[1], [E1])])
-
-    def test_overlapping_sectors_rejected(self):
-        with pytest.raises(EmbeddingError):
-            lift_povm(zpovm(), [(Z2[0], [E0, E0]), (Z2[1], [E1, E1])])
-
-    def test_probabilities_commute_with_lift(self):
-        # measuring the lifted membranes on an embedded state reproduces the
-        # observer-space probabilities
-        rho_obs = sm(MIXTURE)
-        for sector in (0, 1):
-            w = np.zeros((4, 2), dtype=complex)
-            for obs_ket, labs in TATIANA_EMBEDDING:
-                w += np.outer(labs[sector], obs_ket.conj())
-            rho_lab = StatisticalMatrix(w @ rho_obs.matrix @ w.conj().T)
-            lifted = lift_povm(apovm(), TATIANA_EMBEDDING)
-            got = [r.probability for r in measure(lifted, rho_lab)]
-            want = [r.probability for r in measure(apovm(), rho_obs)]
-            assert got == pytest.approx(want, abs=1e-10)
