@@ -28,9 +28,17 @@ _TIE_TOL = 1e-10
 _BASIS_TOL = 1e-6
 
 
+def _as_array(x, what: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=complex)
+    except ValueError:
+        # numpy refuses ragged nesting, e.g. rows of different lengths
+        raise DimensionError(f"{what} is not a regular array of numbers") from None
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce m to a square complex array, enforcing the 1..8 dimension bound."""
-    a = np.asarray(m, dtype=complex)
+    a = _as_array(m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not 1 <= a.shape[0] <= MAX_DIM:
@@ -42,7 +50,7 @@ def as_matrix(m) -> np.ndarray:
 
 def as_ket(v) -> np.ndarray:
     """Coerce v to a unit vector: normalization is applied, then checked."""
-    k = np.asarray(v, dtype=complex).reshape(-1)
+    k = _as_array(v, "ket").reshape(-1)
     if not 1 <= k.size <= MAX_DIM:
         raise DimensionError(f"ket length {k.size} outside 1..{MAX_DIM}")
     norm = float(np.linalg.norm(k))

@@ -26,8 +26,13 @@ statement per line, '#' comments, whitespace-insensitive within a line:
 A povm-ref names kets whose rank-one projectors form the membranes; with
 ``lift`` the kets live in the named observer's space and the projectors are
 lifted to the lab space through the dual of that observer's channel.
-Identifiers must be declared before use and all declarations must precede
-the first step.
+Identifiers must be declared before use, gases and observers need the
+space declared first, and all declarations must precede the first step.
+
+Each statement is one node class below: its fields, its grammar
+(``parse``), its canonical text (``render``) and its effect on a run
+(``run``) sit side by side, and two keyword tables map the first word of
+a line to its class.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -76,7 +81,7 @@ KEYWORDS = frozenset(
 # tokens
 
 class _Token(NamedTuple):
-    kind: str  # id | number | punct | arrow | sign
+    kind: str  # id | number | punct | sign
     text: str
     line: int
     column: int
@@ -102,7 +107,7 @@ def _tokenize(text: str, lineno: int) -> list[_Token]:
             break
         col = i + 1
         if c == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("arrow", "->", lineno, col))
+            tokens.append(_Token("punct", "->", lineno, col))
             i += 2
             continue
         if c in _PUNCT:
@@ -159,8 +164,7 @@ class _Cursor:
         self.pos = 0
 
     def error(self, message: str, token: _Token | None = None):
-        if token is None:
-            token = self.peek()
+        token = token or self.peek()
         if token is None:
             last = self.tokens[-1] if self.tokens else None
             col = (last.column + len(last.text)) if last else 1
@@ -171,27 +175,29 @@ class _Cursor:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of line")
+        # every caller has checked the token it takes
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def at_punct(self, ch: str) -> bool:
         tok = self.peek()
         return tok is not None and tok.kind == "punct" and tok.text == ch
 
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "punct" or tok.text != ch:
+    def expect_punct(self, ch: str):
+        if not self.at_punct(ch):
             self.error(f"expected {ch!r}")
-        return self.take()
+        self.pos += 1
 
-    def expect_keyword(self, word: str) -> _Token:
+    def accept_keyword(self, word: str) -> bool:
         tok = self.peek()
-        if tok is None or tok.kind != "id" or tok.text != word:
+        if tok is not None and tok.kind == "id" and tok.text == word:
+            self.pos += 1
+            return True
+        return False
+
+    def expect_keyword(self, word: str):
+        if not self.accept_keyword(word):
             self.error(f"expected keyword {word!r}")
-        return self.take()
 
     def expect_name(self, what: str) -> _Token:
         tok = self.peek()
@@ -199,12 +205,6 @@ class _Cursor:
             self.error(f"expected {what}")
         if tok.text in KEYWORDS:
             self.error(f"{tok.text!r} is a reserved word, not a valid {what}")
-        return self.take()
-
-    def expect_arrow(self) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "arrow":
-            self.error("expected '->'")
         return self.take()
 
     def expect_real(self, what: str = "number") -> float:
@@ -241,6 +241,16 @@ class _Cursor:
             return complex(first.value, sign * imag_tok.value)
         return complex(first.value, 0.0)
 
+    def comma_list(self, item, open: str, close: str) -> tuple:
+        """``open item (, item)* close``, each item read by ``item()``."""
+        self.expect_punct(open)
+        items = [item()]
+        while self.at_punct(","):
+            self.take()
+            items.append(item())
+        self.expect_punct(close)
+        return tuple(items)
+
     def finish(self):
         tok = self.peek()
         if tok is not None:
@@ -248,125 +258,7 @@ class _Cursor:
 
 
 # ---------------------------------------------------------------------------
-# AST
-
-@dataclass(frozen=True)
-class _Node:
-    """A statement, carrying its source line (ignored by equality)."""
-
-    line: int = field(default=0, compare=False, kw_only=True)
-
-
-@dataclass(frozen=True)
-class SpaceDecl(_Node):
-    name: str
-    dim: int
-
-
-@dataclass(frozen=True)
-class TempDecl(_Node):
-    value: float
-
-
-@dataclass(frozen=True)
-class KetDecl(_Node):
-    name: str
-    amplitudes: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
-class GasDecl(_Node):
-    name: str
-    ket: str | None = None
-    matrix: tuple[tuple[complex, ...], ...] | None = None
-
-
-@dataclass(frozen=True)
-class ObserverDecl(_Node):
-    name: str
-    table: tuple[tuple[str, str], ...]
-    dim: int
-
-
-@dataclass(frozen=True)
-class ChamberDecl(_Node):
-    name: str
-    volume: float
-
-
-@dataclass(frozen=True)
-class FillDecl(_Node):
-    chamber: str
-    parts: tuple[tuple[str, float], ...]
-    moles: float
-
-
-@dataclass(frozen=True)
-class PovmRef:
-    kets: tuple[str, ...]
-    lift: str | None = None
-
-
-@dataclass(frozen=True)
-class MixStep(_Node):
-    a: str
-    b: str
-    target: str
-    povm: PovmRef
-
-
-@dataclass(frozen=True)
-class SeparateStep(_Node):
-    chamber: str
-    povm: PovmRef | None  # None means "by eigenbasis"
-    targets: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RotateStep(_Node):
-    chamber: str
-    mapping: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
-class PartitionStep(_Node):
-    chamber: str
-    fraction: float
-    targets: tuple[str, str]
-
-
-@dataclass(frozen=True)
-class JoinStep(_Node):
-    a: str
-    b: str
-    target: str
-
-
-@dataclass(frozen=True)
-class CheckpointStep(_Node):
-    label: str
-
-
-@dataclass(frozen=True)
-class AssertClosedStep(_Node):
-    observer: str
-    checkpoint: str
-
-
-@dataclass(frozen=True)
-class AuditStep(_Node):
-    observer: str
-    checkpoint: str
-
-
-@dataclass(frozen=True)
-class ProtocolAst:
-    declarations: tuple
-    steps: tuple
-
-
-# ---------------------------------------------------------------------------
-# parser
+# statements (``parse`` is called with the keyword already taken)
 
 class _Names:
     """Declaration and liveness tracking for parse-time checks."""
@@ -381,14 +273,18 @@ class _Names:
         self.live_chambers: set[str] = set()
         self.checkpoints: set[str] = set()
 
-    def declare(self, cur: _Cursor, kind: str, pool: set[str], tok: _Token):
+    def declare(self, cur: _Cursor, kind: str, pool: set[str], what: str = ""):
+        tok = cur.expect_name(what or f"{kind} name")
         if tok.text in pool:
             cur.error(f"duplicate {kind} {tok.text!r}", tok)
         pool.add(tok.text)
+        return tok.text
 
-    def need(self, cur: _Cursor, kind: str, pool: set[str], tok: _Token):
+    def need(self, cur: _Cursor, kind: str, pool: set[str], what: str = ""):
+        tok = cur.expect_name(what or f"{kind} name")
         if tok.text not in pool:
             cur.error(f"undeclared {kind} {tok.text!r}", tok)
+        return tok.text
 
     def consume_chamber(self, cur: _Cursor, tok: _Token):
         if tok.text not in self.live_chambers:
@@ -401,46 +297,516 @@ class _Names:
         self.live_chambers.add(tok.text)
 
 
-def _parse_mapping(cur: _Cursor, names: _Names, left_pool, right_pool,
-                   left_kind: str, right_kind: str):
-    cur.expect_punct("{")
-    pairs = []
-    while True:
-        left = cur.expect_name(left_kind)
-        names.need(cur, left_kind, left_pool, left)
-        cur.expect_arrow()
-        right = cur.expect_name(right_kind)
-        names.need(cur, right_kind, right_pool, right)
-        pairs.append((left.text, right.text))
-        if cur.at_punct(","):
-            cur.take()
-            continue
-        break
-    cur.expect_punct("}")
-    return tuple(pairs)
+class _Run:
+    """What one execute call threads through its statements: the stage the
+    declarations build, the lab and ledger the steps advance, and the
+    membranes and rotations built so far.  Those depend on the
+    declarations alone, so each distinct one is built and checked at the
+    first step that uses it, then reused by every later step naming it."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.dim: int | None = None
+        self.temperature = 1.0
+        self.kets: dict[str, np.ndarray] = {}
+        self.gases: dict[str, StatisticalMatrix] = {}
+        self.observers: dict[str, Observer] = {}
+        self.chambers: dict[str, Chamber] = {}
+        self.lab: LabState | None = None
+        self.ledger = Ledger()
+        self.verdicts: list[Verdict] = []
+        self.povms: dict[PovmRef, Povm] = {}
+        self.unitaries: dict[tuple, np.ndarray] = {}
+
+    def space_dim(self, what: str) -> int:
+        if self.dim is None:
+            raise DomainError(f"{what} is declared before the space")
+        return self.dim
+
+    def advance(self, lab: LabState, event: thermo.LedgerEvent):
+        self.lab = lab
+        self.ledger.append(event)
 
 
-def _parse_povm_ref(cur: _Cursor, names: _Names) -> PovmRef:
-    cur.expect_keyword("povm")
-    lift = None
-    tok = cur.peek()
-    if tok is not None and tok.kind == "id" and tok.text == "lift":
-        cur.take()
-        obs = cur.expect_name("observer name")
-        names.need(cur, "observer", names.observers, obs)
-        lift = obs.text
-    cur.expect_punct("{")
-    kets = []
-    while True:
-        ket = cur.expect_name("ket name")
-        names.need(cur, "ket", names.kets, ket)
-        kets.append(ket.text)
-        if cur.at_punct(","):
-            cur.take()
-            continue
-        break
-    cur.expect_punct("}")
-    return PovmRef(tuple(kets), lift)
+def _fmt_real(x: float) -> str:
+    return repr(float(x))
+
+
+def _fmt_complex(z: complex) -> str:
+    if z.imag == 0:
+        return _fmt_real(z.real)
+    sign = "-" if z.imag < 0 else "+"
+    return f"{_fmt_real(z.real)}{sign}{_fmt_real(abs(z.imag))}i"
+
+
+def _fmt_vector(zs) -> str:
+    return "[" + ", ".join(_fmt_complex(z) for z in zs) + "]"
+
+
+def _parse_ket_map(cur: _Cursor, names: _Names) -> tuple[tuple[str, str], ...]:
+    def pair():
+        source = names.need(cur, "ket", names.kets, "ket")
+        cur.expect_punct("->")
+        return source, names.need(cur, "ket", names.kets, "ket")
+
+    return cur.comma_list(pair, "{", "}")
+
+
+def _fmt_ket_map(pairs) -> str:
+    return "{ " + ", ".join(f"{a} -> {b}" for a, b in pairs) + " }"
+
+
+@dataclass(frozen=True)
+class _Node:
+    """A statement, carrying its source line (ignored by equality)."""
+
+    line: int = field(default=0, compare=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class SpaceDecl(_Node):
+    name: str
+    dim: int
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        if names.space is not None:
+            cur.error("duplicate space declaration")
+        name = cur.expect_name("space name").text
+        cur.expect_keyword("dim")
+        names.space = cls(name, cur.expect_int("dimension"), line=cur.lineno)
+        return names.space
+
+    def render(self) -> str:
+        return f"space {self.name} dim {self.dim}"
+
+    def run(self, ctx: _Run):
+        if not 1 <= self.dim <= linalg.MAX_DIM:
+            raise DomainError(
+                f"space dimension {self.dim} outside 1..{linalg.MAX_DIM}"
+            )
+        ctx.dim = self.dim
+
+
+@dataclass(frozen=True)
+class TempDecl(_Node):
+    value: float
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        if names.temp_seen:
+            cur.error("duplicate temp declaration")
+        names.temp_seen = True
+        return cls(cur.expect_real("temperature"), line=cur.lineno)
+
+    def render(self) -> str:
+        return f"temp {_fmt_real(self.value)}"
+
+    def run(self, ctx: _Run):
+        if not 0 < self.value < math.inf:
+            raise DomainError(
+                f"temperature must be positive and finite, got {self.value}"
+            )
+        ctx.temperature = self.value
+
+
+@dataclass(frozen=True)
+class KetDecl(_Node):
+    name: str
+    amplitudes: tuple[complex, ...]
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        name = names.declare(cur, "ket", names.kets)
+        cur.expect_punct("=")
+        return cls(name, cur.comma_list(cur.expect_complex, "[", "]"),
+                   line=cur.lineno)
+
+    def render(self) -> str:
+        return f"ket {self.name} = {_fmt_vector(self.amplitudes)}"
+
+    def run(self, ctx: _Run):
+        ctx.kets[self.name] = linalg.as_ket(list(self.amplitudes))
+
+
+@dataclass(frozen=True)
+class GasDecl(_Node):
+    name: str
+    ket: str | None = None
+    matrix: tuple[tuple[complex, ...], ...] | None = None
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        name = names.declare(cur, "gas", names.gases)
+        if cur.accept_keyword("from"):
+            cur.expect_keyword("ket")
+            return cls(name, ket=names.need(cur, "ket", names.kets),
+                       line=cur.lineno)
+        cur.expect_keyword("matrix")
+        rows = cur.comma_list(
+            lambda: cur.comma_list(cur.expect_complex, "[", "]"), "[", "]")
+        return cls(name, matrix=rows, line=cur.lineno)
+
+    def render(self) -> str:
+        if self.ket is not None:
+            return f"gas {self.name} from ket {self.ket}"
+        rows = ", ".join(_fmt_vector(row) for row in self.matrix)
+        return f"gas {self.name} matrix [{rows}]"
+
+    def run(self, ctx: _Run):
+        dim = ctx.space_dim(f"gas {self.name!r}")
+        if self.ket is not None:
+            state = StatisticalMatrix.pure(ctx.kets[self.ket], label=self.name)
+        else:
+            state = StatisticalMatrix(self.matrix, label=self.name)
+        if state.dim != dim:
+            raise DomainError(
+                f"gas {self.name!r} has dim {state.dim}, lab space has dim {dim}"
+            )
+        ctx.gases[self.name] = state
+
+
+@dataclass(frozen=True)
+class ObserverDecl(_Node):
+    name: str
+    table: tuple[tuple[str, str], ...]
+    dim: int
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        name = names.declare(cur, "observer", names.observers)
+        cur.expect_keyword("table")
+        table = _parse_ket_map(cur, names)
+        cur.expect_keyword("dim")
+        return cls(name, table, cur.expect_int("dimension"), line=cur.lineno)
+
+    def render(self) -> str:
+        return f"observer {self.name} table {_fmt_ket_map(self.table)} dim {self.dim}"
+
+    def run(self, ctx: _Run):
+        dim = ctx.space_dim(f"observer {self.name!r}")
+        table = [(ctx.kets[a], ctx.kets[b]) for a, b in self.table]
+        for lab_ket, _ in table:
+            if lab_ket.size != dim:
+                raise DomainError(
+                    f"observer {self.name!r} table needs lab kets of"
+                    f" dim {dim}, got {lab_ket.size}"
+                )
+        ctx.observers[self.name] = build_observer(table, self.dim, self.name)
+
+
+@dataclass(frozen=True)
+class ChamberDecl(_Node):
+    name: str
+    volume: float
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        name = names.declare(cur, "chamber", names.live_chambers)
+        cur.expect_keyword("volume")
+        return cls(name, cur.expect_real("volume"), line=cur.lineno)
+
+    def render(self) -> str:
+        return f"chamber {self.name} volume {_fmt_real(self.volume)}"
+
+    def run(self, ctx: _Run):
+        ctx.chambers[self.name] = Chamber(self.name, self.volume)
+
+
+@dataclass(frozen=True)
+class FillDecl(_Node):
+    chamber: str
+    parts: tuple[tuple[str, float], ...]
+    moles: float
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        tok = cur.peek()
+        chamber = names.need(cur, "chamber", names.live_chambers)
+        if chamber in names.filled:
+            cur.error(f"chamber {chamber!r} is already filled", tok)
+        names.filled.add(chamber)
+
+        def part():
+            gas = names.need(cur, "gas", names.gases)
+            cur.expect_punct(":")
+            return gas, cur.expect_real("fraction")
+
+        parts = cur.comma_list(part, "{", "}")
+        cur.expect_keyword("moles")
+        return cls(chamber, parts, cur.expect_real("moles"), line=cur.lineno)
+
+    def render(self) -> str:
+        parts = ", ".join(f"{g} : {_fmt_real(f)}" for g, f in self.parts)
+        return f"fill {self.chamber} {{ {parts} }} moles {_fmt_real(self.moles)}"
+
+    def run(self, ctx: _Run):
+        total = sum(f for _, f in self.parts)
+        if any(f <= 0 for _, f in self.parts):
+            raise DomainError("fill fractions must be positive")
+        if abs(total - 1.0) > 1e-9:
+            raise DomainError(f"fill fractions must sum to 1, got {total:.12g}")
+        if not self.moles > 0:
+            raise DomainError("fill moles must be positive")
+        contents = tuple(GasComponent(ctx.gases[gas], fraction * self.moles)
+                         for gas, fraction in self.parts)
+        ctx.chambers[self.chamber] = Chamber(
+            self.chamber, ctx.chambers[self.chamber].volume, contents)
+
+
+@dataclass(frozen=True)
+class PovmRef:
+    """Kets whose rank-one projectors are the membranes, optionally in an
+    observer's space and lifted to the lab through its channel."""
+
+    kets: tuple[str, ...]
+    lift: str | None = None
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        cur.expect_keyword("povm")
+        lift = None
+        if cur.accept_keyword("lift"):
+            lift = names.need(cur, "observer", names.observers)
+        kets = cur.comma_list(lambda: names.need(cur, "ket", names.kets), "{", "}")
+        return cls(kets, lift)
+
+    def render(self) -> str:
+        lift = f"lift {self.lift} " if self.lift else ""
+        return f"povm {lift}{{ {', '.join(self.kets)} }}"
+
+    def resolve(self, ctx: _Run) -> Povm:
+        if self not in ctx.povms:
+            povm = Povm.projective([ctx.kets[k] for k in self.kets],
+                                   labels=self.kets)
+            if self.lift is not None:
+                povm = lift_through(ctx.observers[self.lift], povm)
+            ctx.povms[self] = povm
+        return ctx.povms[self]
+
+
+def _parse_merge(cur: _Cursor, names: _Names, verb: str) -> tuple[str, str, str]:
+    """``A B into C``: consumes chambers A and B, creates C."""
+    a = cur.expect_name("chamber name")
+    b = cur.expect_name("chamber name")
+    if a.text == b.text:
+        cur.error(f"cannot {verb} a chamber with itself", b)
+    names.consume_chamber(cur, a)
+    names.consume_chamber(cur, b)
+    cur.expect_keyword("into")
+    target = cur.expect_name("chamber name")
+    names.create_chamber(cur, target)
+    return a.text, b.text, target.text
+
+
+@dataclass(frozen=True)
+class MixStep(_Node):
+    a: str
+    b: str
+    target: str
+    povm: PovmRef
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        merge = _parse_merge(cur, names, "mix")
+        cur.expect_keyword("by")
+        return cls(*merge, PovmRef.parse(cur, names), line=cur.lineno)
+
+    def render(self) -> str:
+        return f"mix {self.a} {self.b} into {self.target} by {self.povm.render()}"
+
+    def run(self, ctx: _Run, index: int):
+        ctx.advance(*thermo.mix(ctx.lab, self.a, self.b, self.povm.resolve(ctx),
+                                name=self.target, step_index=index, tol=ctx.tol))
+
+
+@dataclass(frozen=True)
+class SeparateStep(_Node):
+    chamber: str
+    povm: PovmRef | None  # None means "by eigenbasis"
+    targets: tuple[str, ...]
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        chamber = cur.expect_name("chamber name")
+        names.consume_chamber(cur, chamber)
+        cur.expect_keyword("by")
+        povm = None if cur.accept_keyword("eigenbasis") else PovmRef.parse(cur, names)
+        cur.expect_keyword("into")
+        targets = [cur.expect_name("chamber name")]
+        while cur.peek() is not None:
+            targets.append(cur.expect_name("chamber name"))
+        if len(targets) < 2:
+            cur.error("separate needs at least two target chambers")
+        for i, tok in enumerate(targets):
+            if any(t.text == tok.text for t in targets[:i]):
+                cur.error(f"duplicate target chamber {tok.text!r}", tok)
+            names.create_chamber(cur, tok)
+        return cls(chamber.text, povm, tuple(t.text for t in targets),
+                   line=cur.lineno)
+
+    def render(self) -> str:
+        by = "eigenbasis" if self.povm is None else self.povm.render()
+        return f"separate {self.chamber} by {by} into {' '.join(self.targets)}"
+
+    def run(self, ctx: _Run, index: int):
+        if self.povm is None:
+            povm = optimal_separation_povm(
+                canonical_contents(ctx.lab.chamber(self.chamber)))
+        else:
+            povm = self.povm.resolve(ctx)
+        ctx.advance(*thermo.separate(ctx.lab, self.chamber, povm,
+                                     names=self.targets, step_index=index))
+
+
+@dataclass(frozen=True)
+class RotateStep(_Node):
+    chamber: str
+    mapping: tuple[tuple[str, str], ...]
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        chamber = names.need(cur, "chamber", names.live_chambers)
+        cur.expect_keyword("map")
+        return cls(chamber, _parse_ket_map(cur, names), line=cur.lineno)
+
+    def render(self) -> str:
+        return f"rotate {self.chamber} map {_fmt_ket_map(self.mapping)}"
+
+    def run(self, ctx: _Run, index: int):
+        if self.mapping not in ctx.unitaries:
+            ctx.unitaries[self.mapping] = thermo.rotation_unitary(
+                [(ctx.kets[a], ctx.kets[b]) for a, b in self.mapping], ctx.lab.lab_dim)
+        ctx.advance(*thermo.rotate(ctx.lab, self.chamber, ctx.unitaries[self.mapping],
+                                   len(self.mapping), step_index=index))
+
+
+@dataclass(frozen=True)
+class PartitionStep(_Node):
+    chamber: str
+    fraction: float
+    targets: tuple[str, str]
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        chamber = cur.expect_name("chamber name")
+        names.consume_chamber(cur, chamber)
+        cur.expect_keyword("at")
+        fraction = cur.expect_real("fraction")
+        cur.expect_keyword("into")
+        first = cur.expect_name("chamber name")
+        second = cur.expect_name("chamber name")
+        if first.text == second.text:
+            cur.error(f"duplicate target chamber {second.text!r}", second)
+        names.create_chamber(cur, first)
+        names.create_chamber(cur, second)
+        return cls(chamber.text, fraction, (first.text, second.text),
+                   line=cur.lineno)
+
+    def render(self) -> str:
+        return (f"partition {self.chamber} at {_fmt_real(self.fraction)}"
+                f" into {' '.join(self.targets)}")
+
+    def run(self, ctx: _Run, index: int):
+        ctx.advance(*thermo.partition(ctx.lab, self.chamber, self.fraction,
+                                      names=self.targets, step_index=index))
+
+
+@dataclass(frozen=True)
+class JoinStep(_Node):
+    a: str
+    b: str
+    target: str
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        return cls(*_parse_merge(cur, names, "join"), line=cur.lineno)
+
+    def render(self) -> str:
+        return f"join {self.a} {self.b} into {self.target}"
+
+    def run(self, ctx: _Run, index: int):
+        ctx.advance(*thermo.join(ctx.lab, self.a, self.b, name=self.target,
+                                 step_index=index))
+
+
+@dataclass(frozen=True)
+class CheckpointStep(_Node):
+    label: str
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        return cls(names.declare(cur, "checkpoint", names.checkpoints,
+                                 "checkpoint label"), line=cur.lineno)
+
+    def render(self) -> str:
+        return f"checkpoint {self.label}"
+
+    def run(self, ctx: _Run, index: int):
+        ctx.ledger.checkpoint(self.label, ctx.lab, index)
+
+
+class _ObserverCheck:
+    """``KEYWORD observer from checkpoint``: one observer's look at a span."""
+
+    @classmethod
+    def parse(cls, cur: _Cursor, names: _Names):
+        observer = names.need(cur, "observer", names.observers)
+        cur.expect_keyword("from")
+        return cls(observer, names.need(cur, "checkpoint", names.checkpoints,
+                                        "checkpoint label"), line=cur.lineno)
+
+    def render(self) -> str:
+        return f"{self.keyword} {self.observer} from {self.checkpoint}"
+
+
+@dataclass(frozen=True)
+class AssertClosedStep(_ObserverCheck, _Node):
+    observer: str
+    checkpoint: str
+    keyword: ClassVar[str] = "assert-closed"
+
+    def run(self, ctx: _Run, index: int):
+        obs = ctx.observers[self.observer]
+        checkpoint = ctx.ledger.resolve(self.checkpoint)
+        try:
+            mismatch = equivalence_mismatch(obs, checkpoint.state, ctx.lab, ctx.tol)
+        except ShapeError as exc:
+            mismatch = str(exc)
+        if mismatch is not None:
+            raise AssertClosedError(
+                f"step {index} (line {self.line}): observer {self.observer!r}"
+                f" sees an open cycle from {self.checkpoint!r}: {mismatch}"
+            )
+
+
+@dataclass(frozen=True)
+class AuditStep(_ObserverCheck, _Node):
+    observer: str
+    checkpoint: str
+    keyword: ClassVar[str] = "audit"
+
+    def run(self, ctx: _Run, index: int):
+        ctx.verdicts.append(run_audit(ctx.ledger, ctx.observers[self.observer],
+                                      self.checkpoint, ctx.lab, ctx.tol))
+
+
+_DECLARATIONS = {
+    "space": SpaceDecl, "temp": TempDecl, "ket": KetDecl, "gas": GasDecl,
+    "observer": ObserverDecl, "chamber": ChamberDecl, "fill": FillDecl,
+}
+
+_STEPS = {
+    "mix": MixStep, "separate": SeparateStep, "rotate": RotateStep,
+    "partition": PartitionStep, "join": JoinStep, "checkpoint": CheckpointStep,
+    "assert-closed": AssertClosedStep, "audit": AuditStep,
+}
+
+
+@dataclass(frozen=True)
+class ProtocolAst:
+    declarations: tuple
+    steps: tuple
 
 
 def parse(source: str) -> ProtocolAst:
@@ -459,20 +825,17 @@ def parse(source: str) -> ProtocolAst:
         if not tokens:
             continue
         cur = _Cursor(tokens, lineno)
-        head = cur.peek()
+        head = cur.take()
         if head.kind != "id":
-            cur.error("a statement must start with a keyword")
-        word = head.text
-
-        if word in ("space", "temp", "ket", "gas", "observer", "chamber", "fill"):
+            cur.error("a statement must start with a keyword", head)
+        if head.text in _DECLARATIONS:
             if steps:
                 cur.error("declarations must precede the first step", head)
-            declarations.append(_parse_decl(cur, names, word, lineno))
-        elif word in ("mix", "separate", "rotate", "partition", "join",
-                      "checkpoint", "assert-closed", "audit"):
+            declarations.append(_DECLARATIONS[head.text].parse(cur, names))
+        elif head.text in _STEPS:
             if names.space is None:
                 cur.error("missing space declaration before steps", head)
-            steps.append(_parse_step(cur, names, word, lineno))
+            steps.append(_STEPS[head.text].parse(cur, names))
         else:
             cur.error("unknown statement", head)
         cur.finish()
@@ -482,266 +845,9 @@ def parse(source: str) -> ProtocolAst:
     return ProtocolAst(tuple(declarations), tuple(steps))
 
 
-def _parse_decl(cur: _Cursor, names: _Names, word: str, lineno: int):
-    cur.take()
-    if word == "space":
-        if names.space is not None:
-            cur.error("duplicate space declaration")
-        name = cur.expect_name("space name")
-        cur.expect_keyword("dim")
-        dim = cur.expect_int("dimension")
-        decl = SpaceDecl(name.text, dim, line=lineno)
-        names.space = decl
-        return decl
-    if word == "temp":
-        if names.temp_seen:
-            cur.error("duplicate temp declaration")
-        names.temp_seen = True
-        return TempDecl(cur.expect_real("temperature"), line=lineno)
-    if word == "ket":
-        name = cur.expect_name("ket name")
-        names.declare(cur, "ket", names.kets, name)
-        cur.expect_punct("=")
-        cur.expect_punct("[")
-        amplitudes = [cur.expect_complex()]
-        while cur.at_punct(","):
-            cur.take()
-            amplitudes.append(cur.expect_complex())
-        cur.expect_punct("]")
-        return KetDecl(name.text, tuple(amplitudes), line=lineno)
-    if word == "gas":
-        name = cur.expect_name("gas name")
-        names.declare(cur, "gas", names.gases, name)
-        tok = cur.peek()
-        if tok is not None and tok.kind == "id" and tok.text == "from":
-            cur.take()
-            cur.expect_keyword("ket")
-            ket = cur.expect_name("ket name")
-            names.need(cur, "ket", names.kets, ket)
-            return GasDecl(name.text, ket=ket.text, line=lineno)
-        cur.expect_keyword("matrix")
-        cur.expect_punct("[")
-        rows = []
-        while True:
-            cur.expect_punct("[")
-            row = [cur.expect_complex()]
-            while cur.at_punct(","):
-                cur.take()
-                row.append(cur.expect_complex())
-            cur.expect_punct("]")
-            rows.append(tuple(row))
-            if cur.at_punct(","):
-                cur.take()
-                continue
-            break
-        cur.expect_punct("]")
-        return GasDecl(name.text, matrix=tuple(rows), line=lineno)
-    if word == "observer":
-        name = cur.expect_name("observer name")
-        names.declare(cur, "observer", names.observers, name)
-        cur.expect_keyword("table")
-        table = _parse_mapping(cur, names, names.kets, names.kets, "ket", "ket")
-        cur.expect_keyword("dim")
-        dim = cur.expect_int("dimension")
-        return ObserverDecl(name.text, table, dim, line=lineno)
-    if word == "chamber":
-        name = cur.expect_name("chamber name")
-        if name.text in names.live_chambers:
-            cur.error(f"duplicate chamber {name.text!r}", name)
-        names.live_chambers.add(name.text)
-        cur.expect_keyword("volume")
-        return ChamberDecl(name.text, cur.expect_real("volume"), line=lineno)
-    if word == "fill":
-        chamber = cur.expect_name("chamber name")
-        names.need(cur, "chamber", names.live_chambers, chamber)
-        if chamber.text in names.filled:
-            cur.error(f"chamber {chamber.text!r} is already filled", chamber)
-        names.filled.add(chamber.text)
-        cur.expect_punct("{")
-        parts = []
-        while True:
-            gas = cur.expect_name("gas name")
-            names.need(cur, "gas", names.gases, gas)
-            cur.expect_punct(":")
-            parts.append((gas.text, cur.expect_real("fraction")))
-            if cur.at_punct(","):
-                cur.take()
-                continue
-            break
-        cur.expect_punct("}")
-        cur.expect_keyword("moles")
-        return FillDecl(chamber.text, tuple(parts), cur.expect_real("moles"),
-                        line=lineno)
-    raise AssertionError(word)
-
-
-def _parse_step(cur: _Cursor, names: _Names, word: str, lineno: int):
-    cur.take()
-    if word == "mix":
-        a = cur.expect_name("chamber name")
-        b = cur.expect_name("chamber name")
-        if a.text == b.text:
-            cur.error("cannot mix a chamber with itself", b)
-        names.consume_chamber(cur, a)
-        names.consume_chamber(cur, b)
-        cur.expect_keyword("into")
-        target = cur.expect_name("chamber name")
-        names.create_chamber(cur, target)
-        cur.expect_keyword("by")
-        povm = _parse_povm_ref(cur, names)
-        return MixStep(a.text, b.text, target.text, povm, line=lineno)
-    if word == "separate":
-        chamber = cur.expect_name("chamber name")
-        names.consume_chamber(cur, chamber)
-        cur.expect_keyword("by")
-        tok = cur.peek()
-        if tok is not None and tok.kind == "id" and tok.text == "eigenbasis":
-            cur.take()
-            povm = None
-        else:
-            povm = _parse_povm_ref(cur, names)
-        cur.expect_keyword("into")
-        targets = [cur.expect_name("chamber name")]
-        while cur.peek() is not None:
-            targets.append(cur.expect_name("chamber name"))
-        if len(targets) < 2:
-            cur.error("separate needs at least two target chambers")
-        seen = set()
-        for tok in targets:
-            if tok.text in seen:
-                cur.error(f"duplicate target chamber {tok.text!r}", tok)
-            seen.add(tok.text)
-            names.create_chamber(cur, tok)
-        return SeparateStep(chamber.text, povm,
-                            tuple(t.text for t in targets), line=lineno)
-    if word == "rotate":
-        chamber = cur.expect_name("chamber name")
-        names.need(cur, "chamber", names.live_chambers, chamber)
-        cur.expect_keyword("map")
-        mapping = _parse_mapping(cur, names, names.kets, names.kets, "ket", "ket")
-        return RotateStep(chamber.text, mapping, line=lineno)
-    if word == "partition":
-        chamber = cur.expect_name("chamber name")
-        names.consume_chamber(cur, chamber)
-        cur.expect_keyword("at")
-        fraction = cur.expect_real("fraction")
-        cur.expect_keyword("into")
-        first = cur.expect_name("chamber name")
-        second = cur.expect_name("chamber name")
-        if first.text == second.text:
-            cur.error(f"duplicate target chamber {second.text!r}", second)
-        names.create_chamber(cur, first)
-        names.create_chamber(cur, second)
-        return PartitionStep(chamber.text, fraction,
-                             (first.text, second.text), line=lineno)
-    if word == "join":
-        a = cur.expect_name("chamber name")
-        b = cur.expect_name("chamber name")
-        if a.text == b.text:
-            cur.error("cannot join a chamber with itself", b)
-        names.consume_chamber(cur, a)
-        names.consume_chamber(cur, b)
-        cur.expect_keyword("into")
-        target = cur.expect_name("chamber name")
-        names.create_chamber(cur, target)
-        return JoinStep(a.text, b.text, target.text, line=lineno)
-    if word == "checkpoint":
-        label = cur.expect_name("checkpoint label")
-        if label.text in names.checkpoints:
-            cur.error(f"duplicate checkpoint {label.text!r}", label)
-        names.checkpoints.add(label.text)
-        return CheckpointStep(label.text, line=lineno)
-    if word in ("assert-closed", "audit"):
-        observer = cur.expect_name("observer name")
-        names.need(cur, "observer", names.observers, observer)
-        cur.expect_keyword("from")
-        label = cur.expect_name("checkpoint label")
-        names.need(cur, "checkpoint", names.checkpoints, label)
-        cls = AssertClosedStep if word == "assert-closed" else AuditStep
-        return cls(observer.text, label.text, line=lineno)
-    raise AssertionError(word)
-
-
-# ---------------------------------------------------------------------------
-# renderer
-
-def _fmt_real(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_complex(z: complex) -> str:
-    if z.imag == 0:
-        return _fmt_real(z.real)
-    if z.imag < 0:
-        return f"{_fmt_real(z.real)}-{_fmt_real(-z.imag)}i"
-    return f"{_fmt_real(z.real)}+{_fmt_real(z.imag)}i"
-
-
-def _fmt_povm(ref: PovmRef) -> str:
-    inner = ", ".join(ref.kets)
-    if ref.lift:
-        return f"povm lift {ref.lift} {{ {inner} }}"
-    return f"povm {{ {inner} }}"
-
-
 def render(ast: ProtocolAst) -> str:
     """Canonical text for an AST; parse(render(parse(s))) == parse(s)."""
-    lines = []
-    for node in ast.declarations + ast.steps:
-        if isinstance(node, SpaceDecl):
-            lines.append(f"space {node.name} dim {node.dim}")
-        elif isinstance(node, TempDecl):
-            lines.append(f"temp {_fmt_real(node.value)}")
-        elif isinstance(node, KetDecl):
-            amps = ", ".join(_fmt_complex(z) for z in node.amplitudes)
-            lines.append(f"ket {node.name} = [{amps}]")
-        elif isinstance(node, GasDecl):
-            if node.ket is not None:
-                lines.append(f"gas {node.name} from ket {node.ket}")
-            else:
-                rows = ", ".join(
-                    "[" + ", ".join(_fmt_complex(z) for z in row) + "]"
-                    for row in node.matrix
-                )
-                lines.append(f"gas {node.name} matrix [{rows}]")
-        elif isinstance(node, ObserverDecl):
-            table = ", ".join(f"{a} -> {b}" for a, b in node.table)
-            lines.append(f"observer {node.name} table {{ {table} }} dim {node.dim}")
-        elif isinstance(node, ChamberDecl):
-            lines.append(f"chamber {node.name} volume {_fmt_real(node.volume)}")
-        elif isinstance(node, FillDecl):
-            parts = ", ".join(f"{g} : {_fmt_real(f)}" for g, f in node.parts)
-            lines.append(
-                f"fill {node.chamber} {{ {parts} }} moles {_fmt_real(node.moles)}"
-            )
-        elif isinstance(node, MixStep):
-            lines.append(
-                f"mix {node.a} {node.b} into {node.target} by {_fmt_povm(node.povm)}"
-            )
-        elif isinstance(node, SeparateStep):
-            by = "eigenbasis" if node.povm is None else _fmt_povm(node.povm)
-            lines.append(
-                f"separate {node.chamber} by {by} into {' '.join(node.targets)}"
-            )
-        elif isinstance(node, RotateStep):
-            table = ", ".join(f"{a} -> {b}" for a, b in node.mapping)
-            lines.append(f"rotate {node.chamber} map {{ {table} }}")
-        elif isinstance(node, PartitionStep):
-            lines.append(
-                f"partition {node.chamber} at {_fmt_real(node.fraction)}"
-                f" into {node.targets[0]} {node.targets[1]}"
-            )
-        elif isinstance(node, JoinStep):
-            lines.append(f"join {node.a} {node.b} into {node.target}")
-        elif isinstance(node, CheckpointStep):
-            lines.append(f"checkpoint {node.label}")
-        elif isinstance(node, AssertClosedStep):
-            lines.append(f"assert-closed {node.observer} from {node.checkpoint}")
-        elif isinstance(node, AuditStep):
-            lines.append(f"audit {node.observer} from {node.checkpoint}")
-        else:
-            raise AssertionError(type(node))
-    return "\n".join(lines) + "\n"
+    return "\n".join(node.render() for node in ast.declarations + ast.steps) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -755,209 +861,38 @@ class ExecutionResult:
     observers: dict[str, Observer]
 
 
-def _decl_error(line: int, message: str) -> ProtocolRuntimeError:
-    return ProtocolRuntimeError(-1, line, message)
-
-
 def execute(ast: ProtocolAst, tol: float = 1e-9) -> ExecutionResult:
-    """Fold the protocol steps over the lab state built from declarations.
+    """Build the lab from the declarations, then fold the steps over it.
 
     Separations "by eigenbasis" resolve to the optimal separation POVM of
-    the chamber's canonical contents.  Runtime failures surface as
-    ProtocolRuntimeError carrying the step index; a failed assert-closed
-    raises AssertClosedError with the observer and differing chamber.
+    the chamber's canonical contents.  Failures surface as
+    ProtocolRuntimeError carrying the step index (-1 for a declaration);
+    a failed assert-closed raises AssertClosedError with the observer and
+    differing chamber.
     """
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    kets: dict[str, object] = {}
-    gases: dict[str, StatisticalMatrix] = {}
-    observers: dict[str, Observer] = {}
-    chamber_order: list[str] = []
-    volumes: dict[str, float] = {}
-    chamber_lines: dict[str, int] = {}
-    fills: dict[str, FillDecl] = {}
-    temperature = 1.0
-    space: SpaceDecl | None = None
-
+    ctx = _Run(tol)
     for decl in ast.declarations:
         try:
-            if isinstance(decl, SpaceDecl):
-                if not 1 <= decl.dim <= linalg.MAX_DIM:
-                    raise DomainError(
-                        f"space dimension {decl.dim} outside 1..{linalg.MAX_DIM}"
-                    )
-                space = decl
-            elif isinstance(decl, TempDecl):
-                if not 0 < decl.value < math.inf:
-                    raise DomainError(
-                        f"temperature must be positive and finite, got {decl.value}"
-                    )
-                temperature = decl.value
-            elif isinstance(decl, KetDecl):
-                kets[decl.name] = linalg.as_ket(list(decl.amplitudes))
-            elif isinstance(decl, GasDecl):
-                if decl.ket is not None:
-                    ket = kets[decl.ket]
-                    if ket.size != space.dim:
-                        raise DomainError(
-                            f"gas {decl.name!r} needs a lab-space ket of dim"
-                            f" {space.dim}, got {ket.size}"
-                        )
-                    gases[decl.name] = StatisticalMatrix.pure(ket, label=decl.name)
-                else:
-                    matrix = [list(row) for row in decl.matrix]
-                    state = StatisticalMatrix(matrix, label=decl.name)
-                    if state.dim != space.dim:
-                        raise DomainError(
-                            f"gas {decl.name!r} matrix has dim {state.dim},"
-                            f" lab space has dim {space.dim}"
-                        )
-                    gases[decl.name] = state
-            elif isinstance(decl, ObserverDecl):
-                table = [(kets[a], kets[b]) for a, b in decl.table]
-                for lab_ket, _ in table:
-                    if lab_ket.size != space.dim:
-                        raise DomainError(
-                            f"observer {decl.name!r} table needs lab kets of"
-                            f" dim {space.dim}, got {lab_ket.size}"
-                        )
-                observers[decl.name] = build_observer(table, decl.dim, decl.name)
-            elif isinstance(decl, ChamberDecl):
-                chamber_order.append(decl.name)
-                volumes[decl.name] = decl.volume
-                chamber_lines[decl.name] = decl.line
-            elif isinstance(decl, FillDecl):
-                total = sum(f for _, f in decl.parts)
-                if any(f <= 0 for _, f in decl.parts):
-                    raise DomainError("fill fractions must be positive")
-                if abs(total - 1.0) > 1e-9:
-                    raise DomainError(
-                        f"fill fractions must sum to 1, got {total:.12g}"
-                    )
-                if not decl.moles > 0:
-                    raise DomainError("fill moles must be positive")
-                fills[decl.chamber] = decl
+            decl.run(ctx)
         except QgasError as exc:
-            if isinstance(exc, ProtocolRuntimeError):
-                raise
-            raise _decl_error(decl.line, str(exc)) from exc
-
-    chambers: dict[str, Chamber] = {}
-    for name in chamber_order:
-        contents: tuple[GasComponent, ...] = ()
-        if name in fills:
-            decl = fills[name]
-            contents = tuple(
-                GasComponent(gases[gas], fraction * decl.moles)
-                for gas, fraction in decl.parts
-            )
-        try:
-            chambers[name] = Chamber(name, volumes[name], contents)
-        except QgasError as exc:
-            line = fills[name].line if name in fills else chamber_lines[name]
-            raise _decl_error(line, str(exc)) from exc
-    try:
-        lab = LabState(temperature, chambers, space.dim)
-    except QgasError as exc:
-        raise _decl_error(space.line, str(exc)) from exc
-
-    ledger = Ledger()
-    verdicts: list[Verdict] = []
-    # membranes and rotations depend on the declarations alone: each
-    # distinct one is built and checked at the first step that uses it,
-    # then reused by every later step that names it
-    povms: dict[PovmRef, Povm] = {}
-    unitaries: dict[tuple[tuple[str, str], ...], np.ndarray] = {}
+            raise ProtocolRuntimeError(-1, decl.line, str(exc)) from exc
+    ctx.lab = LabState(ctx.temperature, ctx.chambers, ctx.dim)
 
     for index, step in enumerate(ast.steps):
         try:
-            if isinstance(step, MixStep):
-                povm = _resolve_povm(step.povm, kets, observers, povms)
-                lab, event = thermo.mix(lab, step.a, step.b, povm,
-                                        name=step.target, step_index=index,
-                                        tol=tol)
-                ledger.append(event)
-            elif isinstance(step, SeparateStep):
-                if step.povm is None:
-                    povm = optimal_separation_povm(
-                        canonical_contents(lab.chamber(step.chamber))
-                    )
-                else:
-                    povm = _resolve_povm(step.povm, kets, observers, povms)
-                lab, event = thermo.separate(lab, step.chamber, povm,
-                                             names=step.targets,
-                                             step_index=index)
-                ledger.append(event)
-            elif isinstance(step, RotateStep):
-                if step.mapping not in unitaries:
-                    unitaries[step.mapping] = thermo.rotation_unitary(
-                        [(kets[a], kets[b]) for a, b in step.mapping], lab.lab_dim
-                    )
-                lab, event = thermo.rotate(lab, step.chamber,
-                                           unitaries[step.mapping],
-                                           len(step.mapping), step_index=index)
-                ledger.append(event)
-            elif isinstance(step, PartitionStep):
-                lab, event = thermo.partition(lab, step.chamber, step.fraction,
-                                              names=step.targets,
-                                              step_index=index)
-                ledger.append(event)
-            elif isinstance(step, JoinStep):
-                lab, event = thermo.join(lab, step.a, step.b,
-                                         name=step.target, step_index=index)
-                ledger.append(event)
-            elif isinstance(step, CheckpointStep):
-                ledger.checkpoint(step.label, lab, index)
-            elif isinstance(step, AssertClosedStep):
-                obs = observers[step.observer]
-                checkpoint = ledger.resolve(step.checkpoint)
-                try:
-                    mismatch = equivalence_mismatch(obs, checkpoint.state, lab, tol)
-                except ShapeError as exc:
-                    mismatch = str(exc)
-                if mismatch is not None:
-                    raise AssertClosedError(
-                        f"step {index} (line {step.line}): observer"
-                        f" {step.observer!r} sees an open cycle from"
-                        f" {step.checkpoint!r}: {mismatch}"
-                    )
-            elif isinstance(step, AuditStep):
-                verdicts.append(
-                    run_audit(ledger, observers[step.observer],
-                              step.checkpoint, lab, tol)
-                )
-            else:
-                raise AssertionError(type(step))
-        except (AssertClosedError, ProtocolRuntimeError):
+            step.run(ctx, index)
+        except AssertClosedError:
             raise
         except QgasError as exc:
             raise ProtocolRuntimeError(index, step.line, str(exc)) from exc
 
-    return ExecutionResult(lab, ledger, verdicts, observers)
-
-
-def _resolve_povm(ref: PovmRef, kets, observers, built: dict) -> Povm:
-    """The membranes ref names, built at its first use and reused from
-    ``built`` after that."""
-    if ref not in built:
-        povm = Povm.projective([kets[name] for name in ref.kets], labels=ref.kets)
-        if ref.lift is not None:
-            povm = lift_through(observers[ref.lift], povm)
-        built[ref] = povm
-    return built[ref]
+    return ExecutionResult(ctx.lab, ctx.ledger, ctx.verdicts, ctx.observers)
 
 
 # ---------------------------------------------------------------------------
 # bundled demos
-
-DEMO_NAMES = (
-    "perfect-separation",
-    "partial-separation",
-    "peres-tatiana",
-    "peres-willard",
-    "jaynes-johann",
-    "jaynes-marie",
-)
 
 DEMO_BLURBS = {
     "perfect-separation":
@@ -979,6 +914,8 @@ DEMO_BLURBS = {
         "the same classical cycle for marie, who distinguishes the two argon"
         " varieties and has to pay the work back to close the cycle",
 }
+
+DEMO_NAMES = tuple(DEMO_BLURBS)
 
 
 def demo_source(name: str) -> str:

@@ -339,6 +339,8 @@ def mix(lab: LabState, a: str, b: str, povm: Povm, name=None,
     is raised.  The merged chamber occupies V_a + V_b and the gas absorbs
     Q = sum_c n_c T ln((V_a + V_b) / V_c) > 0.
     """
+    if a == b:
+        raise DomainError("cannot mix a chamber with itself")
     cha, chb = lab.chamber(a), lab.chamber(b)
     _check_povm_dim(lab, povm)
     agg_a, agg_b = aggregate_state(cha), aggregate_state(chb)
@@ -452,6 +454,8 @@ def join(lab: LabState, a: str, b: str, name=None,
     """Remove the wall between two chambers.  Bookkeeping records no work
     for wall removal itself; any thermodynamic consequence of the resulting
     diffusion only ever shows up through later membrane operations."""
+    if a == b:
+        raise DomainError("cannot join a chamber with itself")
     cha, chb = lab.chamber(a), lab.chamber(b)
     name = name or f"{a}+{b}"
     merged = Chamber(name, cha.volume + chb.volume,

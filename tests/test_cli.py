@@ -134,6 +134,14 @@ class TestExitCodes:
         code, out, err = run_command(CliConfig("run", str(path)))
         assert (code, out) == (1, "")
         assert "line 2" in err and "non-finite" in err
+    def test_ragged_gas_matrix_exits_1(self, tmp_path):
+        path = tmp_path / "ragged.qgp"
+        path.write_text("space lab dim 2\ngas g matrix [[1, 0], [0]]\n")
+        code, out, err = run_command(CliConfig("run", str(path)))
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "runtime error: declaration (line 2): matrix is not a regular array")
+
 
     @pytest.mark.parametrize("source, where", [
         ("space lab dim 1e400\n", "parse error: line 1, column 15: non-finite"),

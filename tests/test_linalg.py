@@ -214,6 +214,13 @@ def test_dimension_bound():
         linalg.as_matrix(np.ones((2, 3)))
 
 
+def test_ragged_input_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="matrix is not a regular array"):
+        linalg.as_matrix([[1, 0], [0]])
+    with pytest.raises(DimensionError, match="ket is not a regular array"):
+        linalg.as_ket([1, [0, 1]])
+
+
 def test_as_ket_normalizes():
     k = linalg.as_ket([1, 1])
     assert abs(np.linalg.norm(k) - 1) < 1e-12

@@ -176,6 +176,138 @@ class TestMalformed:
         assert "reserved" in str(err.value)
 
 
+_H = "space lab dim 2\n"
+_K = _H + "ket a = [1, 0]\nket b = [0, 1]\n"
+_G = _K + "gas g from ket a\n"
+_C = _G + "chamber c volume 1.0\nchamber d volume 1.0\n"
+
+# one source per distinct parse-error message, with its exact text
+PARSE_ERRORS = [
+    # tokenizer
+    (_H + "ket k = [1, .]\n",
+     "line 2, column 13: malformed number (at '.]')"),
+    (_H + "ket k = [1e999, 0]\n",
+     "line 2, column 10: non-finite number (at '1e999')"),
+    (_H + "ket k = [1, 0] @\n",
+     "line 2, column 16: unexpected character (at '@')"),
+    # cursor
+    (_H + "ket k = [1, 0\n", "line 2, column 14: expected ']'"),
+    (_H + "gas m matrix [1, 0]\n", "line 2, column 15: expected '[' (at '1')"),
+    (_H + "gas m matrix [[1, 0], 0]\n",
+     "line 2, column 23: expected '[' (at '0')"),
+    (_G + "chamber c volume 1.0\nfill c { g 1.0 } moles 1.0\n",
+     "line 6, column 12: expected ':' (at '1.0')"),
+    (_C + "mix c d into e by povm { a b }\n",
+     "line 7, column 28: expected '}' (at 'b')"),
+    (_C + "rotate c map a -> b\n", "line 7, column 14: expected '{' (at 'a')"),
+    (_K + "observer o { a -> a } dim 1\n",
+     "line 4, column 12: expected keyword 'table' (at '{')"),
+    (_C + "mix c d into e by { a, b }\n",
+     "line 7, column 19: expected keyword 'povm' (at '{')"),
+    (_C + "rotate c { a -> b }\n",
+     "line 7, column 10: expected keyword 'map' (at '{')"),
+    (_C + "separate c by eigenbasis d e\n",
+     "line 7, column 26: expected keyword 'into' (at 'd')"),
+    (_C + "separate c by eigenbasis into\n",
+     "line 7, column 30: expected chamber name"),
+    (_H + "gas dim from ket a\n",
+     "line 2, column 5: 'dim' is a reserved word, not a valid gas name (at 'dim')"),
+    ("space povm dim 2\n",
+     "line 1, column 7: 'povm' is a reserved word, not a valid space name"
+     " (at 'povm')"),
+    (_K + "observer o table { a a } dim 1\n",
+     "line 4, column 22: expected '->' (at 'a')"),
+    (_H + "chamber c volume\n", "line 2, column 17: expected volume"),
+    (_H + "chamber c volume big\n",
+     "line 2, column 18: expected volume (at 'big')"),
+    (_H + "temp hot\n", "line 2, column 6: expected temperature (at 'hot')"),
+    (_G + "chamber c volume 1.0\nfill c { g : 1.0 } moles\n",
+     "line 6, column 25: expected moles"),
+    (_C + "partition c at half into e f\n",
+     "line 7, column 16: expected fraction (at 'half')"),
+    ("space lab dim 2.5\n", "line 1, column 15: expected dimension (at '2.5')"),
+    (_K + "observer o table { a -> a } dim two\n",
+     "line 4, column 33: expected dimension (at 'two')"),
+    (_H + "ket k = []\n", "line 2, column 10: expected a number (at ']')"),
+    (_H + "ket k = [1i, 0]\n",
+     "line 2, column 10: imaginary literal needs a real part first (at '1i')"),
+    (_H + "ket k = [1 + 2, 0]\n",
+     "line 2, column 14: expected an imaginary literal after sign (at '2')"),
+    (_H + "ket k = [1+]\n",
+     "line 2, column 12: expected an imaginary literal after sign (at ']')"),
+    (_H + "ket k = [1, 0] 2\n",
+     "line 2, column 16: unexpected trailing input (at '2')"),
+    (_H + "ket k = [1, 0] +\n",
+     "line 2, column 16: unexpected trailing input (at '+')"),
+    # statement order
+    (_H + "[1]\n",
+     "line 2, column 1: a statement must start with a keyword (at '[')"),
+    (_C + "checkpoint s\nchamber e volume 1.0\n",
+     "line 8, column 1: declarations must precede the first step (at 'chamber')"),
+    ("ket a = [1, 0]\ncheckpoint s\n",
+     "line 2, column 1: missing space declaration before steps (at 'checkpoint')"),
+    (_H + "foo bar\n", "line 2, column 1: unknown statement (at 'foo')"),
+    ("ket a = [1, 0]\n",
+     "line 1, column 1: protocol needs exactly one space declaration"),
+    ("# only a comment\n",
+     "line 1, column 1: protocol needs exactly one space declaration"),
+    (_H + "space other dim 2\n",
+     "line 2, column 7: duplicate space declaration (at 'other')"),
+    (_H + "temp 1.0\ntemp 2.0\n",
+     "line 3, column 6: duplicate temp declaration (at '2.0')"),
+    # duplicate and undeclared names
+    (_K + "ket a = [0, 1]\n", "line 4, column 5: duplicate ket 'a' (at 'a')"),
+    (_G + "gas g from ket b\n", "line 5, column 5: duplicate gas 'g' (at 'g')"),
+    (_K + "observer o table { a -> a } dim 1\n"
+     "observer o table { a -> a } dim 1\n",
+     "line 5, column 10: duplicate observer 'o' (at 'o')"),
+    (_H + "chamber c volume 1.0\nchamber c volume 2.0\n",
+     "line 3, column 9: duplicate chamber 'c' (at 'c')"),
+    (_C + "checkpoint s\ncheckpoint s\n",
+     "line 8, column 12: duplicate checkpoint 's' (at 's')"),
+    (_H + "gas g from ket missing\n",
+     "line 2, column 16: undeclared ket 'missing' (at 'missing')"),
+    (_C + "separate c by povm { a, ghost } into e f\n",
+     "line 7, column 25: undeclared ket 'ghost' (at 'ghost')"),
+    (_C + "fill c { ghost : 1.0 } moles 1.0\n",
+     "line 7, column 10: undeclared gas 'ghost' (at 'ghost')"),
+    (_H + "audit nobody from s\n",
+     "line 2, column 7: undeclared observer 'nobody' (at 'nobody')"),
+    (_C + "separate c by povm lift ghost { a, b } into e f\n",
+     "line 7, column 25: undeclared observer 'ghost' (at 'ghost')"),
+    (_K + "observer o table { a -> a } dim 1\naudit o from nowhere\n",
+     "line 5, column 14: undeclared checkpoint 'nowhere' (at 'nowhere')"),
+    (_G + "fill nowhere { g : 1.0 } moles 1.0\n",
+     "line 5, column 6: undeclared chamber 'nowhere' (at 'nowhere')"),
+    # chamber liveness
+    (_C + "fill c { g : 1.0 } moles 1.0\nfill c { g : 1.0 } moles 1.0\n",
+     "line 8, column 6: chamber 'c' is already filled (at 'c')"),
+    (_C + "join c e into f\n", "line 7, column 8: undeclared chamber 'e' (at 'e')"),
+    (_C + "join c d into e\nrotate c map { a -> b }\n",
+     "line 8, column 8: undeclared chamber 'c' (at 'c')"),
+    (_C + "partition c at 0.5 into d e\n",
+     "line 7, column 25: chamber 'd' already exists (at 'd')"),
+    # target rules
+    (_C + "mix c c into e by povm { a, b }\n",
+     "line 7, column 7: cannot mix a chamber with itself (at 'c')"),
+    (_C + "join c c into e\n",
+     "line 7, column 8: cannot join a chamber with itself (at 'c')"),
+    (_C + "separate c by eigenbasis into e\n",
+     "line 7, column 32: separate needs at least two target chambers"),
+    (_C + "separate c by eigenbasis into e e\n",
+     "line 7, column 33: duplicate target chamber 'e' (at 'e')"),
+    (_C + "partition c at 0.5 into e e\n",
+     "line 7, column 27: duplicate target chamber 'e' (at 'e')"),
+]
+
+
+@pytest.mark.parametrize("source,message", PARSE_ERRORS)
+def test_parse_error_message(source, message):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert str(err.value) == message
+
+
 class TestExecute:
     def test_mini_protocol(self):
         result = execute(parse(MINI))
@@ -271,6 +403,32 @@ class TestExecute:
         assert protocol.demo_source("peres-tatiana") == protocol.demo_source(
             "peres-tatiana"
         )
+
+
+DECL_HEAD = "space lab dim 2\nket z+ = [1, 0]\ngas g from ket z+\n"
+
+
+class TestDeclarationErrors:
+    """Declarations run in source order, so the first bad one is reported
+    at its own line."""
+
+    @pytest.mark.parametrize("source, line, message", [
+        (DECL_HEAD + "chamber c volume -1\nfill c { g : 1 } moles 1\n",
+         4, "volume must be positive and finite, got -1.0"),
+        (DECL_HEAD + "chamber c volume -1\nchamber d volume 1\n"
+         "fill d { g : 0.7 } moles 1\n",
+         4, "volume must be positive and finite, got -1.0"),
+        ("ket z+ = [1, 0]\ngas g from ket z+\nspace lab dim 2\n",
+         2, "gas 'g' is declared before the space"),
+        ("ket z+ = [1, 0]\nobserver o table { z+ -> z+ } dim 1\n"
+         "space lab dim 2\n",
+         2, "observer 'o' is declared before the space"),
+    ], ids=["chamber-then-fill", "before-a-later-fill", "gas", "observer"])
+    def test_first_bad_declaration_reported_at_its_line(self, source, line, message):
+        with pytest.raises(ProtocolRuntimeError) as err:
+            execute(parse(source))
+        assert (err.value.step_index, err.value.line) == (-1, line)
+        assert str(err.value) == f"declaration (line {line}): {message}"
 
 
 class TestLedgerDetails:

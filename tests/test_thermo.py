@@ -338,6 +338,15 @@ class TestPartitionJoin:
         with pytest.raises(UnknownChamberError):
             join(lab, "c", "missing")
 
+    @pytest.mark.parametrize("name", ["c", "missing"])
+    def test_chamber_cannot_join_or_mix_with_itself(self, name):
+        # a self-join used to double the chamber's moles
+        lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
+        with pytest.raises(DomainError, match="cannot join a chamber with itself"):
+            join(lab, name, name)
+        with pytest.raises(DomainError, match="cannot mix a chamber with itself"):
+            mix(lab, name, name, z_povm())
+
 
 class TestCanonicalContents:
     def test_z_x_mixture(self):
