@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
+from .linalg import CLOSURE_TOL
 from .observers import Observer, states_equivalent
 from .thermo import LabState, Ledger
 
@@ -47,7 +48,7 @@ def classify(cycle_closed: bool, q_over_t: float, tol: float) -> str:
 
 
 def audit(ledger: Ledger, obs: Observer, from_label: str, current: LabState,
-          tol: float = 1e-9) -> Verdict:
+          tol: float = CLOSURE_TOL) -> Verdict:
     """Total up Q/T since a checkpoint and judge it through one observer.
 
     The cycle counts as closed when the checkpointed lab state and the

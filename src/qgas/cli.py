@@ -11,7 +11,6 @@ significant digits and byte-identical across identical invocations.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -32,17 +31,18 @@ class CliConfig:
     command: str  # run | demo | list-demos
     target: str | None = None  # file path or demo name
     format: str = "table"  # table | records
-    tol: float = 1e-9
+    tol: float = linalg.CLOSURE_TOL
     observer: str | None = None
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise DomainError(f"tol must be positive and finite, got {self.tol}")
+        if not 0 < self.tol < linalg.MAX_TOL:
+            raise DomainError(f"tol must be positive and finite, got {self.tol};"
+                              f" its range is (0, {linalg.MAX_TOL:g})")
 
 
 def _snap(x: float) -> float:
-    # round-off below 1e-12 prints as 0, and never as -0
-    return 0.0 if abs(x) < 1e-12 else x
+    # round-off prints as 0, and never as -0
+    return 0.0 if abs(x) < linalg.SNAP_TOL else x
 
 
 def _cfmt(z: complex) -> str:
@@ -185,8 +185,8 @@ def main(argv=None) -> int:
     for sp in (run_p, demo_p):
         sp.add_argument("--format", choices=("table", "records"),
                         default="table", help="output format")
-        sp.add_argument("--tol", type=float, default=1e-9,
-                        help="tolerance for audits and cycle closure")
+        sp.add_argument("--tol", type=float, default=linalg.CLOSURE_TOL,
+                        help=f"slack of mix, closure and Q/T; in (0, {linalg.MAX_TOL:g})")
         sp.add_argument("--observer", default=None,
                         help="restrict verdicts and views to one observer")
 
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
             command=args.command,
             target=getattr(args, "path", None) or getattr(args, "name", None),
             format=getattr(args, "format", "table"),
-            tol=getattr(args, "tol", 1e-9),
+            tol=getattr(args, "tol", linalg.CLOSURE_TOL),
             observer=getattr(args, "observer", None),
         )
     except DomainError as exc:

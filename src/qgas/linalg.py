@@ -17,15 +17,43 @@ from .errors import DimensionError, DomainError, NotHermitianError
 
 MAX_DIM = 8
 
-# magnitude threshold used to locate the leading component of an eigenvector
-_PHASE_TOL = 1e-10
+# Tolerances, each named once.  Round-off on entries of order one is ~1e-15.
 
-# adjacent eigenvalues closer than this share one degenerate eigenspace
-_TIE_TOL = 1e-10
+# State validity: entries and trace are sums of a few products, hence the
+# tight bounds; a rank-deficient state, as every pure one is, has an
+# eigenvalue that may read a little below 0.
+HERMITIAN_TOL = 1e-12  # entrywise |m - m^dagger|
+TRACE_TOL = 1e-12  # |tr rho - 1|; also |norm - 1| of a normalized ket
+PSD_TOL = 1e-10  # how far below 0 the lowest eigenvalue may read
+# below this a ket's squares are subnormal: it is rescaled, then normalized
+KET_RESCALE_BELOW = math.sqrt(np.finfo(float).tiny)
 
-# residual norm below which a projected axis adds nothing to the canonical
-# basis of a degenerate eigenspace: far above round-off, far below O(1)
-_BASIS_TOL = 1e-6
+# Completeness and orthonormality: products of up to 8 x 8 matrices, some
+# built from typed kets, so looser than the state checks.  A fill is typed
+# as decimals: thirds written to ten digits fall 1e-10 short of one.
+ORTHONORMAL_TOL = 1e-10  # entrywise |C^dagger C - I|; ket overlaps
+OVERLAP_TOL = 1e-10  # |tr(a b)| of states told apart with certainty
+WEIGHT_SUM_TOL = 1e-10  # |sum w - 1| of a separated mixture's weights
+FILL_SUM_TOL = 1e-9  # |sum f - 1| of a fill's typed fractions
+
+# Pruning: amounts at the state checks' round-off scale are noise, not gas.
+ZERO_PROB = 1e-12  # an outcome probability that leaves no post state
+PRUNE_TOL = 1e-12  # dropped moles, mole fractions, eigen-mixture weights
+SAME_STATE_TOL = 1e-12  # entrywise gap of component states merged as one
+SNAP_TOL = 1e-12  # a printed number below this shows as 0
+
+# Degeneracy and phase.  The residual cut-offs are far above round-off and
+# far below O(1); they differ, and merging them would change the axes kept.
+TIE_TOL = 1e-10  # gap of neighbouring eigenvalues sharing an eigenspace
+PHASE_TOL = 1e-10  # first eigenvector entry above this is made real > 0
+BASIS_TOL = 1e-6  # residual of an axis skipped in a degenerate eigenspace
+COMPLETION_TOL = 1e-8  # residual of an axis skipped completing a rotation
+
+# Closure: the default of --tol, the slack of mix, of cycle closure and of
+# Q/T > tol; looser than the state checks, as it compares whole protocol
+# runs.  At MAX_TOL mix would pass an effect passing both chambers at 1/2.
+CLOSURE_TOL = 1e-9
+MAX_TOL = 0.5
 
 
 def _as_array(x, what: str) -> np.ndarray:
@@ -50,20 +78,23 @@ def as_matrix(m) -> np.ndarray:
 
 def as_ket(v) -> np.ndarray:
     """Coerce v to a unit vector: normalization is applied, then checked."""
-    k = _as_array(v, "ket").reshape(-1)
+    k = _as_array(v, "ket")
+    if k.ndim != 1:
+        raise DimensionError(f"expected a flat ket, got shape {k.shape}")
     if not 1 <= k.size <= MAX_DIM:
         raise DimensionError(f"ket length {k.size} outside 1..{MAX_DIM}")
     norm = float(np.linalg.norm(k))
-    if not math.isfinite(norm):
+    if not KET_RESCALE_BELOW <= norm < math.inf:
         if not np.isfinite(k).all():
             raise DomainError("ket has a non-finite entry (nan or inf)")
-        # finite entries whose norm overflows: rescale by the largest first
-        k = k / np.max(np.abs(k))
+        if not k.any():
+            raise DomainError("cannot normalize a zero ket")
+        # part by part: complex division by a subnormal gives nan
+        top = np.max(np.abs(k))
+        k = k.real / top + 1j * (k.imag / top)
         norm = float(np.linalg.norm(k))
-    if norm < 1e-12:
-        raise DomainError("cannot normalize a zero ket")
     k = k / norm
-    if abs(float(np.linalg.norm(k)) - 1.0) > 1e-12:
+    if abs(float(np.linalg.norm(k)) - 1.0) > TRACE_TOL:
         raise DomainError("ket normalization failed")
     return k
 
@@ -98,9 +129,9 @@ def conjugate(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def check_orthonormal(columns: np.ndarray, error: type[Exception],
                       message: str) -> None:
     """Raise error(message) unless the columns are orthonormal: C^dagger C
-    equals the identity within 1e-10 entrywise (NaN fails)."""
+    equals the identity within ORTHONORMAL_TOL entrywise (NaN fails)."""
     gap = np.abs(columns.conj().T @ columns - np.eye(columns.shape[1]))
-    if not np.max(gap) <= 1e-10:
+    if not np.max(gap) <= ORTHONORMAL_TOL:
         raise error(message)
 
 
@@ -115,14 +146,10 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def is_hermitian(m, tol: float = 1e-12) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate v so its first component with magnitude > 1e-10 is real positive."""
     for x in v:
-        if abs(x) > _PHASE_TOL:
+        if abs(x) > PHASE_TOL:
             return v * (x.conjugate() / abs(x))
     return v
 
@@ -144,7 +171,7 @@ def _canonical_basis(b: np.ndarray) -> np.ndarray:
             s = sum(x.conjugate() * y for x, y in zip(u, c))
             c = [y - s * x for x, y in zip(u, c)]
         norm = math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in c))
-        if norm > _BASIS_TOL:
+        if norm > BASIS_TOL:
             q.append([x / norm for x in c])
         if len(q) == b.shape[1]:
             break
@@ -158,14 +185,14 @@ def _canonicalize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     wl = w.tolist()
     start = 0
     for i in range(1, len(wl) + 1):
-        if i == len(wl) or wl[i - 1] - wl[i] > _TIE_TOL:
+        if i == len(wl) or wl[i - 1] - wl[i] > TIE_TOL:
             if i - start > 1:
                 v[:, start:i] = _canonical_basis(v[:, start:i])
             start = i
     return np.column_stack([_fix_phase(c) for c in v.T])
 
 
-def hermitian_eig(m, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix by LAPACK plus a canonical
     post-pass.
 
@@ -181,13 +208,13 @@ def hermitian_eig(m, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     descending lexicographic (real, imag) order, reading entries below 1e-10
     as zero.
 
-    Raises NotHermitianError when m is not Hermitian within tol.
+    Raises NotHermitianError when m is not Hermitian within HERMITIAN_TOL.
     """
     a = as_matrix(m)
     defect = hermiticity_defect(a)
-    if not defect <= tol:
+    if not defect <= HERMITIAN_TOL:
         raise NotHermitianError(
-            f"matrix is not Hermitian within {tol:g} (defect {defect:.3g})"
+            f"matrix is not Hermitian within {HERMITIAN_TOL:g} (defect {defect:.3g})"
         )
     w, v = np.linalg.eigh(hermitian_part(a))
     w, v = w[::-1].copy(), v[:, ::-1]

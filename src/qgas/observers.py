@@ -24,9 +24,7 @@ import numpy as np
 from . import linalg
 from .errors import BasisError, DimensionError, EmbeddingError, SectorError, ShapeError
 from .quantum import Povm, StatisticalMatrix
-from .thermo import Chamber, LabState, aggregate_state
-
-_TOL = 1e-10
+from .thermo import Chamber, LabState, aggregate_state, eigen_mixture
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +70,8 @@ def build_observer(table, obs_dim: int, name: str = "observer") -> Observer:
     sectors: list[list[tuple[np.ndarray, np.ndarray]]] = []
     for lab, obs in rows:
         for sector in sectors:
-            if all(abs(np.vdot(obs, other)) <= _TOL for _, other in sector):
+            if all(abs(np.vdot(obs, other)) <= linalg.ORTHONORMAL_TOL
+                   for _, other in sector):
                 sector.append((lab, obs))
                 break
         else:
@@ -161,20 +160,13 @@ def view(obs: Observer, lab: LabState) -> ObserverView:
     views = []
     for chamber in lab.chambers.values():
         sigma = _coarse_aggregate(obs, chamber)
-        if sigma is None:
-            mixture = ()
-        else:
-            w, v = linalg.hermitian_eig(sigma.matrix)
-            mixture = tuple(
-                (float(w[i]), StatisticalMatrix.pure(v[:, i]))
-                for i in range(len(w)) if w[i] > 1e-12
-            )
+        mixture = () if sigma is None else tuple(eigen_mixture(sigma))
         views.append(ChamberView(chamber.name, chamber.volume, chamber.moles, mixture))
     return ObserverView(obs.name, tuple(views))
 
 
 def equivalence_mismatch(obs: Observer, a: LabState, b: LabState,
-                         tol: float = 1e-9) -> str | None:
+                         tol: float = linalg.CLOSURE_TOL) -> str | None:
     """None when the two lab states look the same to the observer, else a
     one-line description of the first difference found."""
     if set(a.chambers) != set(b.chambers):
@@ -197,7 +189,7 @@ def equivalence_mismatch(obs: Observer, a: LabState, b: LabState,
 
 
 def states_equivalent(obs: Observer, a: LabState, b: LabState,
-                      tol: float = 1e-9) -> bool:
+                      tol: float = linalg.CLOSURE_TOL) -> bool:
     """Whether the observer can tell the two lab states apart: chamber
     volumes, mole counts, and coarse-grained aggregates all match."""
     return equivalence_mismatch(obs, a, b, tol) is None

@@ -544,7 +544,7 @@ class FillDecl(_Node):
         total = sum(f for _, f in self.parts)
         if any(f <= 0 for _, f in self.parts):
             raise DomainError("fill fractions must be positive")
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > linalg.FILL_SUM_TOL:
             raise DomainError(f"fill fractions must sum to 1, got {total:.12g}")
         if not self.moles > 0:
             raise DomainError("fill moles must be positive")
@@ -861,7 +861,7 @@ class ExecutionResult:
     observers: dict[str, Observer]
 
 
-def execute(ast: ProtocolAst, tol: float = 1e-9) -> ExecutionResult:
+def execute(ast: ProtocolAst, tol: float = linalg.CLOSURE_TOL) -> ExecutionResult:
     """Build the lab from the declarations, then fold the steps over it.
 
     Separations "by eigenbasis" resolve to the optimal separation POVM of
@@ -870,8 +870,9 @@ def execute(ast: ProtocolAst, tol: float = 1e-9) -> ExecutionResult:
     a failed assert-closed raises AssertClosedError with the observer and
     differing chamber.
     """
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if not 0 < tol < linalg.MAX_TOL:
+        raise DomainError(f"tol must be positive and finite, got {tol};"
+                          f" its range is (0, {linalg.MAX_TOL:g})")
     ctx = _Run(tol)
     for decl in ast.declarations:
         try:
@@ -928,5 +929,5 @@ def demo_source(name: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def run_demo(name: str, tol: float = 1e-9) -> ExecutionResult:
+def run_demo(name: str, tol: float = linalg.CLOSURE_TOL) -> ExecutionResult:
     return execute(parse(demo_source(name)), tol=tol)

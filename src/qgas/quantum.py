@@ -22,14 +22,6 @@ from .errors import (
     WeightError,
 )
 
-HERMITIAN_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
-COMPLETENESS_TOL = 1e-10
-
-#: outcome probabilities below this leave the post state undefined
-ZERO_PROB = 1e-12
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
@@ -48,16 +40,16 @@ class StatisticalMatrix:
     def __post_init__(self):
         m = linalg.as_matrix(self.matrix)
         defect = linalg.hermiticity_defect(m)
-        if defect > HERMITIAN_TOL:
+        if defect > linalg.HERMITIAN_TOL:
             raise NotHermitianError(
                 f"statistical matrix not Hermitian (defect {defect:.3g})"
             )
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > linalg.TRACE_TOL:
             raise StateError(f"trace must be 1, got {tr:.12g}")
         m = linalg.hermitian_part(m)
         low = float(np.min(np.linalg.eigvalsh(m)))
-        if low < -PSD_TOL:
+        if low < -linalg.PSD_TOL:
             raise StateError(f"matrix is not positive (eigenvalue {low:.3g})")
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -72,7 +64,8 @@ class StatisticalMatrix:
     def relabel(self, label: str | None) -> "StatisticalMatrix":
         return StatisticalMatrix(self.matrix, label=label)
 
-    def close_to(self, other: "StatisticalMatrix", tol: float = 1e-12) -> bool:
+    def close_to(self, other: "StatisticalMatrix",
+                 tol: float = linalg.SAME_STATE_TOL) -> bool:
         return self.dim == other.dim and bool(
             np.max(np.abs(self.matrix - other.matrix)) <= tol
         )
@@ -88,7 +81,7 @@ class Povm:
 
     Each effect is the operator A whose outcome update is rho -> A rho A^dag;
     construction checks that all effects share one dimension and satisfy
-    sum A^dag A = identity within 1e-10 entrywise.
+    sum A^dag A = identity within linalg.ORTHONORMAL_TOL entrywise.
     """
 
     effects: tuple[np.ndarray, ...]
@@ -102,12 +95,9 @@ class Povm:
         for a in effects[1:]:
             if a.shape[0] != dim:
                 raise DimensionError("POVM effects must share one dimension")
-        total = sum(a.conj().T @ a for a in effects)
-        defect = float(np.max(np.abs(total - np.eye(dim))))
-        if defect > COMPLETENESS_TOL:
-            raise PovmError(
-                f"effects do not resolve the identity (defect {defect:.3g})"
-            )
+        # sum A^dag A = I: the stacked effects have orthonormal columns
+        linalg.check_orthonormal(np.vstack(effects), PovmError,
+                                 "effects do not resolve the identity")
         labels = self.outcome_labels or tuple(str(i) for i in range(len(effects)))
         if len(labels) != len(effects):
             raise PovmError("need one outcome label per effect")
@@ -154,7 +144,7 @@ def measure(povm: Povm, rho: StatisticalMatrix) -> list[OutcomeResult]:
         raw = linalg.conjugate(a, rho.matrix)
         p = float(np.real(np.trace(raw)))
         p = min(max(p, 0.0), 1.0)
-        if p < ZERO_PROB:
+        if p < linalg.ZERO_PROB:
             results.append(OutcomeResult(p, None))
         else:
             results.append(
@@ -163,13 +153,12 @@ def measure(povm: Povm, rho: StatisticalMatrix) -> list[OutcomeResult]:
     return results
 
 
-def are_orthogonal(a: StatisticalMatrix, b: StatisticalMatrix,
-                   tol: float = 1e-10) -> bool:
-    """Whether tr(a b) vanishes within tol, i.e. whether preparations
-    described by a and b can be distinguished with certainty."""
+def are_orthogonal(a: StatisticalMatrix, b: StatisticalMatrix) -> bool:
+    """Whether tr(a b) vanishes within linalg.OVERLAP_TOL, i.e. whether
+    preparations described by a and b can be distinguished with certainty."""
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return abs(linalg.trace_product(a.matrix, b.matrix)) <= tol
+    return abs(linalg.trace_product(a.matrix, b.matrix)) <= linalg.OVERLAP_TOL
 
 
 def optimal_separation_povm(components) -> Povm:
@@ -185,7 +174,7 @@ def optimal_separation_povm(components) -> Povm:
     weights = [float(w) for w, _ in components]
     if any(not w > 0 for w in weights):
         raise WeightError(f"weights must be positive, got {weights}")
-    if not abs(sum(weights) - 1.0) <= 1e-10:
+    if not abs(sum(weights) - 1.0) <= linalg.WEIGHT_SUM_TOL:
         raise WeightError(f"weights must sum to 1, got {sum(weights):.12g}")
     mats = []
     for _, s in components:

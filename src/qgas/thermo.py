@@ -34,12 +34,6 @@ from .quantum import Povm, StatisticalMatrix, measure
 
 R = 1.0
 
-#: outcome mole fractions below this are pruned (avoids ln 0 chambers)
-PRUNE = 1e-12
-
-#: entrywise tolerance for merging identical component states
-MERGE_TOL = 1e-12
-
 EVENT_KINDS = ("mix", "separate", "rotate", "partition", "join", "checkpoint")
 
 
@@ -223,16 +217,17 @@ def aggregate_state(chamber: Chamber) -> StatisticalMatrix:
     return StatisticalMatrix(m)
 
 
+def eigen_mixture(state: StatisticalMatrix) -> list[tuple[float, StatisticalMatrix]]:
+    """The state as (weight, eigenprojector) pairs in descending weight,
+    weights up to linalg.PRUNE_TOL dropped."""
+    w, v = linalg.hermitian_eig(state.matrix)
+    return [(float(w[i]), StatisticalMatrix.pure(v[:, i]))
+            for i in range(len(w)) if w[i] > linalg.PRUNE_TOL]
+
+
 def canonical_contents(chamber: Chamber) -> list[tuple[float, StatisticalMatrix]]:
-    """The chamber's contents as the eigen-mixture of its aggregate state:
-    (weight, eigenprojector) pairs with zero-weight terms dropped."""
-    aggregate = aggregate_state(chamber)
-    w, v = linalg.hermitian_eig(aggregate.matrix)
-    out = []
-    for i in range(len(w)):
-        if w[i] > PRUNE:
-            out.append((float(w[i]), StatisticalMatrix.pure(v[:, i])))
-    return out
+    """The chamber's contents as the eigen-mixture of its aggregate state."""
+    return eigen_mixture(aggregate_state(chamber))
 
 
 def _merge(components) -> tuple[GasComponent, ...]:
@@ -240,7 +235,7 @@ def _merge(components) -> tuple[GasComponent, ...]:
     merged: list[list] = []
     for comp in components:
         for slot in merged:
-            if slot[0].close_to(comp.state, MERGE_TOL):
+            if slot[0].close_to(comp.state):
                 slot[1] += comp.moles
                 break
         else:
@@ -251,24 +246,18 @@ def _merge(components) -> tuple[GasComponent, ...]:
 def _replace_chambers(lab: LabState, removed, added) -> LabState:
     """New lab state with ``removed`` chamber names replaced by the ``added``
     chambers, inserted where the first removed chamber sat."""
-    removed = list(removed)
+    names = lab.chambers.keys() - removed
+    for new in added:
+        if new.name in names:
+            raise DomainError(f"chamber {new.name!r} already exists")
+        names.add(new.name)
     out: dict[str, Chamber] = {}
-    inserted = False
     for name, ch in lab.chambers.items():
-        if name in removed:
-            if not inserted:
-                for new in added:
-                    if new.name in out:
-                        raise DomainError(f"chamber {new.name!r} already exists")
-                    out[new.name] = new
-                inserted = True
-            continue
-        if any(new.name == name for new in added):
-            raise DomainError(f"chamber {name!r} already exists")
-        out[name] = ch
-    if not inserted:
-        for new in added:
-            out[new.name] = new
+        if name not in removed:
+            out[name] = ch
+        elif added:
+            out.update((new.name, new) for new in added)
+            added = ()
     return replace(lab, chambers=out)
 
 
@@ -311,10 +300,10 @@ def separate(lab: LabState, chamber: str, povm: Povm, names=None,
             GasComponent(res[i].post_state, comp.moles * res[i].probability)
             for comp, res in zip(ch.contents, outcomes)
             if res[i].post_state is not None
-            and comp.moles * res[i].probability > PRUNE
+            and comp.moles * res[i].probability > linalg.PRUNE_TOL
         ]
         fraction = sum(c.moles for c in collected) / n_total
-        if fraction <= PRUNE:
+        if fraction <= linalg.PRUNE_TOL:
             continue
         moles_i = fraction * n_total
         q += moles_i * R * t * math.log(fraction)
@@ -330,7 +319,8 @@ def separate(lab: LabState, chamber: str, povm: Povm, names=None,
 
 
 def mix(lab: LabState, a: str, b: str, povm: Povm, name=None,
-        step_index: int = 0, tol: float = 1e-9) -> tuple[LabState, LedgerEvent]:
+        step_index: int = 0,
+        tol: float = linalg.CLOSURE_TOL) -> tuple[LabState, LedgerEvent]:
     """Reversibly merge two chambers using membranes that tell them apart.
 
     Each effect must pass one chamber's aggregate with probability one and
@@ -376,7 +366,7 @@ def _gram_schmidt_completion(vectors: list[np.ndarray], dim: int) -> list[np.nda
         for v in basis:
             cand = cand - np.vdot(v, cand) * v
         norm = float(np.linalg.norm(cand))
-        if norm > 1e-8:
+        if norm > linalg.COMPLETION_TOL:
             basis.append(cand / norm)
         if len(basis) == dim:
             break

@@ -277,4 +277,49 @@ def test_cli_config_validates_tol():
         CliConfig("demo", "peres-tatiana", tol=0.0)
     with pytest.raises(DomainError):
         CliConfig("demo", "peres-tatiana", tol=float("inf"))
+    with pytest.raises(DomainError, match=r"its range is \(0, 0.5\)"):
+        CliConfig("run", "same-gas.qgp", tol=0.5)
+
+
+# two samples of one gas, merged by membranes that tell neither apart
+SAME_GAS_MIX = """\
+space lab dim 2
+ket z+ = [1, 0]
+ket z- = [0, 1]
+ket x+ = [1, 1]
+ket x- = [1, -1]
+gas g from ket z+
+observer me table { z+ -> z+, z- -> z- } dim 2
+chamber a volume 0.5
+chamber b volume 0.5
+fill a { g : 1.0 } moles 0.5
+fill b { g : 1.0 } moles 0.5
+checkpoint start
+mix a b into c by povm { x+, x- }
+partition c at 0.5 into a b
+audit me from start
+"""
+
+
+def test_tol_at_which_mix_merges_one_gas_exits_1(tmp_path, capsys):
+    # at --tol 0.6, x+ passes both z+ samples with p = 1/2: the mix
+    # absorbed ln 2 and the fully informed observer reported a violation
+    path = tmp_path / "same-gas.qgp"
+    path.write_text(SAME_GAS_MIX)
+    assert main(["run", str(path), "--format", "records", "--tol", "0.6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tol must be positive and finite, got 0.6")
+    code, _, err = run_command(CliConfig("run", str(path), format="records"))
+    assert code == 1
+    assert "distinguishes neither chamber" in err
+
+
+def test_tol_is_the_apparent_violation_threshold():
+    # tatiana's closed cycle has Q/T = 0.2767: a violation at the default
+    # tol, consistent at tol 0.3
+    verdicts = {r["observer"]: r for r in parse_records(records("peres-tatiana", tol=0.3))
+                if r["type"] == "verdict"}
+    assert verdicts["tatiana"]["cycleClosed"] is True
+    assert verdicts["tatiana"]["classification"] == "consistent"
 

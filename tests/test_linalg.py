@@ -229,6 +229,31 @@ def test_as_ket_normalizes():
         linalg.as_ket([0, 0])
 
 
+def test_as_ket_rejects_a_matrix():
+    # flattening used to turn this into a 4-entry ket
+    with pytest.raises(DimensionError, match="expected a flat ket"):
+        linalg.as_ket([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("tiny, unit", [
+    ([1e-13, 0], [1, 0]),
+    ([1e-13, 1e-13], [1 / math.sqrt(2)] * 2),
+    ([5e-324, 0], [1, 0]),  # the smallest subnormal: its norm underflows to 0
+    ([1e-160, 1e-160j], [1 / math.sqrt(2), 1j / math.sqrt(2)]),
+    # complex division by a subnormal used to give nan here; subnormals
+    # carry few digits, so the expected ratio is the floats' own
+    ([1e-320, 3e-321], np.array([1, 3e-321 / 1e-320]) / math.hypot(1, 3e-321 / 1e-320)),
+])
+def test_as_ket_normalizes_tiny_nonzero_kets(tiny, unit):
+    # only an all-zero ket is zero, whatever the size of its entries
+    assert np.allclose(linalg.as_ket(tiny), unit, rtol=0, atol=1e-12)
+
+
+def test_zero_ket_message():
+    with pytest.raises(DomainError, match="cannot normalize a zero ket"):
+        linalg.as_ket([0, 0])
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_as_ket_normalizes_finite_entries_whose_norm_overflows():
     # the norm of these entries is above the largest float; the ket is not

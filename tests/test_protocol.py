@@ -383,10 +383,19 @@ class TestExecute:
         message = str(err.value)
         assert "me" in message and "'c'" in message
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+    # at 1/2 and above, mix passes an effect passing both chambers
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9, 0.5, 0.6])
     def test_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(DomainError, match="tol"):
             protocol.run_demo("peres-willard", tol=tol)
+
+    def test_tiny_typed_ket_is_normalized(self):
+        # the zero-ket test used to be an absolute norm < 1e-12
+        result = execute(parse("space lab dim 2\nket a = [1e-13, 1e-13]\n"
+                               "gas g from ket a\nchamber c volume 1.0\n"
+                               "fill c { g : 1.0 } moles 1.0\n"))
+        state = result.final_state.chambers["c"].contents[0].state
+        assert np.allclose(state.matrix, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_unknown_demo(self):
         with pytest.raises(DomainError):

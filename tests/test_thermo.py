@@ -338,6 +338,23 @@ class TestPartitionJoin:
         with pytest.raises(UnknownChamberError):
             join(lab, "c", "missing")
 
+    @pytest.mark.parametrize("names, clash", [
+        (("l", "other"), "other"),  # a chamber that stays
+        (("l", "l"), "l"),  # the two new chambers
+    ])
+    def test_partition_into_existing_name_rejected(self, names, clash):
+        lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]),
+                       chamber("other", 1.0, [(Z_PLUS, 1.0)]))
+        with pytest.raises(DomainError, match=f"chamber '{clash}' already exists"):
+            partition(lab, "c", 0.5, names=names)
+
+    def test_new_chambers_take_the_place_of_the_first_removed(self):
+        lab = lab_with(*(chamber(n, 1.0, [(Z_PLUS, 1.0)]) for n in "acd"))
+        split, _ = partition(lab, "c", 0.5)
+        assert list(split.chambers) == ["a", "c.0", "c.1", "d"]
+        joined, _ = join(split, "d", "a", name="m")
+        assert list(joined.chambers) == ["m", "c.0", "c.1"]
+
     @pytest.mark.parametrize("name", ["c", "missing"])
     def test_chamber_cannot_join_or_mix_with_itself(self, name):
         # a self-join used to double the chamber's moles
