@@ -32,14 +32,6 @@ class Verdict:
     cycle_closed: bool
     classification: str
 
-    def to_record(self) -> str:
-        closed = "true" if self.cycle_closed else "false"
-        return (
-            f"verdict observer={self.observer} from={self.from_checkpoint}"
-            f" qTotal={self.q_total:.12g} qOverT={self.q_over_t:.12g}"
-            f" cycleClosed={closed} classification={self.classification}"
-        )
-
 
 def classify(cycle_closed: bool, q_over_t: float, tol: float) -> str:
     if not cycle_closed:

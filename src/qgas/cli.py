@@ -3,9 +3,10 @@
 Exit codes: 0 on success (apparent second-law violations are findings, not
 failures), 1 on parse or runtime errors and on any unexpected internal
 error, 2 when an assert-closed step fails.
-Reports go to stdout, errors to stderr.  The ``records`` format emits one
-line-delimited record per ledger event and per verdict, stable to 12
-significant digits and byte-identical across identical invocations.
+Reports go to stdout, errors to stderr; this module alone renders them.
+The ``records`` format emits one line-delimited record per ledger event and
+per verdict, stable to 12 significant digits, byte-identical across
+identical invocations, and read back by ``parse_records``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from . import linalg, protocol
+from .audit import Verdict
 from .errors import (
     AssertClosedError,
     DomainError,
@@ -23,18 +25,22 @@ from .errors import (
     ProtocolRuntimeError,
     QgasError,
 )
-from .observers import ObserverView, view
+from .observers import view
+from .thermo import LedgerEvent
 
 
 @dataclass
 class CliConfig:
     command: str  # run | demo | list-demos
     target: str | None = None  # file path or demo name
-    format: str = "table"  # table | records
+    format: str = "table"  # a key of FORMATS
     tol: float = linalg.CLOSURE_TOL
     observer: str | None = None
 
     def __post_init__(self):
+        if self.format not in FORMATS:
+            raise DomainError(f"format must be one of {', '.join(FORMATS)},"
+                              f" got {self.format!r}")
         if not 0 < self.tol < linalg.MAX_TOL:
             raise DomainError(f"tol must be positive and finite, got {self.tol};"
                               f" its range is (0, {linalg.MAX_TOL:g})")
@@ -63,50 +69,78 @@ def _mixture_text(mixture) -> str:
     return "  +  ".join(terms)
 
 
-def _render_views(views: list[ObserverView]) -> list[str]:
-    if not views:
-        return []
-    lines = ["final views:"]
-    for ov in views:
-        lines.append(f"  observer {ov.observer}:")
-        for ch in ov.chambers:
-            lines.append(
-                f"    {ch.name}: V={ch.volume:.6g} n={ch.moles:.6g}"
-                f"  {_mixture_text(ch.mixture)}"
-            )
-    return lines
+def _escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _verdict_records(result: protocol.ExecutionResult, observer_filter) -> list[str]:
-    return [v.to_record() for v in result.verdicts
-            if observer_filter in (None, v.observer)]
+def _unescape(text: str) -> str:
+    return text.replace('\\"', '"').replace("\\\\", "\\")
+
+
+def _event_record(e: LedgerEvent) -> str:
+    return (
+        f"event step={e.step_index} kind={e.kind}"
+        f" q={e.heat_absorbed_by_gas:.12g} w={e.work_done_by_gas:.12g}"
+        f' desc="{_escape(e.description)}"'
+    )
+
+
+def _verdict_fields(v: Verdict) -> str:
+    """A verdict as key=value fields: a records line after "verdict ", a
+    table line after two spaces."""
+    closed = "true" if v.cycle_closed else "false"
+    return (
+        f"observer={v.observer} from={v.from_checkpoint}"
+        f" qTotal={v.q_total:.12g} qOverT={v.q_over_t:.12g}"
+        f" cycleClosed={closed} classification={v.classification}"
+    )
+
+
+def _verdicts(result: protocol.ExecutionResult, observer_filter) -> list[Verdict]:
+    return [v for v in result.verdicts if observer_filter in (None, v.observer)]
 
 
 def _render_table(result: protocol.ExecutionResult, observer_filter) -> str:
-    lines = ["ledger:"]
-    lines.extend(result.ledger.to_table())
-    verdicts = _verdict_records(result, observer_filter)
+    lines = ["ledger:",
+             f"  {'step':>4}  {'kind':<10}  {'Q':>16}  {'W':>16}  description"]
+    lines.extend(
+        f"  {e.step_index:>4}  {e.kind:<10}"
+        f"  {e.heat_absorbed_by_gas:>16.12g}"
+        f"  {e.work_done_by_gas:>16.12g}  {e.description}"
+        for e in result.ledger.events
+    )
+    verdicts = _verdicts(result, observer_filter)
     if verdicts:
         lines.append("verdicts:")
-        lines.extend("  " + v.removeprefix("verdict ") for v in verdicts)
+        lines.extend("  " + _verdict_fields(v) for v in verdicts)
     names = result.observers
     if observer_filter is not None:
         names = {observer_filter: result.observers[observer_filter]}
-    views = [view(obs, result.final_state) for obs in names.values()]
-    lines.extend(_render_views(views))
+    if names:
+        lines.append("final views:")
+    for obs in names.values():
+        lines.append(f"  observer {obs.name}:")
+        lines.extend(f"    {ch.name}: V={ch.volume:.6g} n={ch.moles:.6g}"
+                     f"  {_mixture_text(ch.mixture)}"
+                     for ch in view(obs, result.final_state).chambers)
     return "\n".join(lines) + "\n"
 
 
 def _render_records(result: protocol.ExecutionResult, observer_filter) -> str:
-    lines = result.ledger.to_records() + _verdict_records(result, observer_filter)
+    lines = [_event_record(e) for e in result.ledger.events]
+    lines.extend("verdict " + _verdict_fields(v)
+                 for v in _verdicts(result, observer_filter))
     return "\n".join(lines) + "\n"
 
+
+#: --format name -> renderer of an execution result
+FORMATS = {"table": _render_table, "records": _render_records}
 
 _FIELD_RE = re.compile(r'(\w+)=("(?:[^"\\]|\\.)*"|\S+)')
 
 
 def parse_records(text: str) -> list[dict]:
-    """Parse records output back into typed dicts (inverse of rendering)."""
+    """Parse records output back into typed dicts (inverse of _render_records)."""
     out = []
     for line in text.splitlines():
         line = line.strip()
@@ -119,7 +153,7 @@ def parse_records(text: str) -> list[dict]:
         for m in _FIELD_RE.finditer(rest):
             key, value = m.group(1), m.group(2)
             if value.startswith('"'):
-                value = value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+                value = _unescape(value[1:-1])
             fields[key] = value
         for key in ("q", "w", "qTotal", "qOverT"):
             if key in fields:
@@ -148,6 +182,8 @@ def run_command(config: CliConfig) -> tuple[int, str, str]:
                     source = handle.read()
             except OSError as exc:
                 return 1, "", f"error: {exc}\n"
+            except UnicodeDecodeError as exc:
+                return 1, "", f"error: {config.target}: {exc}\n"
         else:
             return 1, "", f"error: unknown command {config.command!r}\n"
 
@@ -155,9 +191,7 @@ def run_command(config: CliConfig) -> tuple[int, str, str]:
         result = protocol.execute(ast, tol=config.tol)
         if config.observer is not None and config.observer not in result.observers:
             return 1, "", f"error: no observer named {config.observer!r}\n"
-        if config.format == "records":
-            return 0, _render_records(result, config.observer), ""
-        return 0, _render_table(result, config.observer), ""
+        return 0, FORMATS[config.format](result, config.observer), ""
     except ParseError as exc:
         return 1, "", f"parse error: {exc}\n"
     except AssertClosedError as exc:
@@ -183,7 +217,7 @@ def main(argv=None) -> int:
     demo_p.add_argument("name", help="demo name (see list-demos)")
     sub.add_parser("list-demos", help="list the bundled demos")
     for sp in (run_p, demo_p):
-        sp.add_argument("--format", choices=("table", "records"),
+        sp.add_argument("--format", choices=FORMATS,
                         default="table", help="output format")
         sp.add_argument("--tol", type=float, default=linalg.CLOSURE_TOL,
                         help=f"slack of mix, closure and Q/T; in (0, {linalg.MAX_TOL:g})")

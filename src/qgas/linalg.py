@@ -117,6 +117,16 @@ def hermitian_part(m) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def as_hermitian(m, message: str) -> np.ndarray:
+    """Coerce m with as_matrix and return its exactly Hermitian part; raise
+    NotHermitianError(message) when max|m - m^dagger| exceeds HERMITIAN_TOL."""
+    a = as_matrix(m)
+    defect = float(np.max(np.abs(a - a.conj().T)))
+    if not defect <= HERMITIAN_TOL:
+        raise NotHermitianError(f"{message} (defect {defect:.3g})")
+    return hermitian_part(a)
+
+
 def conjugate(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """The unnormalized outcome update a rho a^dagger of two matrices already
     checked by as_matrix, made exactly Hermitian so that dividing it by a
@@ -139,11 +149,6 @@ def projector(ket) -> np.ndarray:
     """Rank-one projector |k><k| onto a (normalized) ket."""
     k = as_ket(ket)
     return np.outer(k, k.conj())
-
-
-def hermiticity_defect(m) -> float:
-    m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -210,12 +215,7 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
     Raises NotHermitianError when m is not Hermitian within HERMITIAN_TOL.
     """
-    a = as_matrix(m)
-    defect = hermiticity_defect(a)
-    if not defect <= HERMITIAN_TOL:
-        raise NotHermitianError(
-            f"matrix is not Hermitian within {HERMITIAN_TOL:g} (defect {defect:.3g})"
-        )
-    w, v = np.linalg.eigh(hermitian_part(a))
+    a = as_hermitian(m, f"matrix is not Hermitian within {HERMITIAN_TOL:g}")
+    w, v = np.linalg.eigh(a)
     w, v = w[::-1].copy(), v[:, ::-1]
     return w, _canonicalize(w, v)

@@ -36,10 +36,6 @@ class Observer:
     lab_dim: int
     sector_isometries: tuple[np.ndarray, ...]
 
-    @property
-    def is_identity(self) -> bool:
-        return len(self.sector_isometries) == 1 and self.obs_dim == self.lab_dim
-
 
 def build_observer(table, obs_dim: int, name: str = "observer") -> Observer:
     """Build an observer from (lab_ket, observer_ket) rows.

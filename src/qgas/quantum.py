@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionError,
-    NotHermitianError,
-    PovmError,
-    StateError,
-    WeightError,
-)
+from .errors import DimensionError, PovmError, StateError, WeightError
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -38,20 +32,17 @@ class StatisticalMatrix:
     label: str | None = None
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
-        defect = linalg.hermiticity_defect(m)
-        if defect > linalg.HERMITIAN_TOL:
-            raise NotHermitianError(
-                f"statistical matrix not Hermitian (defect {defect:.3g})"
-            )
-        tr = complex(np.trace(m))
+        m = linalg.as_hermitian(self.matrix, "statistical matrix not Hermitian")
+        spectrum = np.linalg.eigvalsh(m)
+        tr = float(spectrum.sum())
         if abs(tr - 1.0) > linalg.TRACE_TOL:
             raise StateError(f"trace must be 1, got {tr:.12g}")
-        m = linalg.hermitian_part(m)
-        low = float(np.min(np.linalg.eigvalsh(m)))
+        low = float(spectrum[0])
         if low < -linalg.PSD_TOL:
             raise StateError(f"matrix is not positive (eigenvalue {low:.3g})")
-        object.__setattr__(self, "matrix", _frozen(m))
+        # m is a fresh array from as_hermitian, so freezing it in place is safe
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -60,9 +51,6 @@ class StatisticalMatrix:
     @classmethod
     def pure(cls, ket, label: str | None = None) -> "StatisticalMatrix":
         return cls(linalg.projector(ket), label=label)
-
-    def relabel(self, label: str | None) -> "StatisticalMatrix":
-        return StatisticalMatrix(self.matrix, label=label)
 
     def close_to(self, other: "StatisticalMatrix",
                  tol: float = linalg.SAME_STATE_TOL) -> bool:

@@ -125,17 +125,6 @@ class LedgerEvent:
                    description: str) -> "LedgerEvent":
         return cls(step_index, kind, q, q, description)
 
-    def to_record(self) -> str:
-        return (
-            f"event step={self.step_index} kind={self.kind}"
-            f" q={self.heat_absorbed_by_gas:.12g} w={self.work_done_by_gas:.12g}"
-            f' desc="{_escape(self.description)}"'
-        )
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
 
 @dataclass(frozen=True)
 class Checkpoint:
@@ -182,20 +171,6 @@ class Ledger:
 
     def q_total_since(self, label: str) -> float:
         return sum(e.heat_absorbed_by_gas for e in self.events_since(label))
-
-    def to_records(self) -> list[str]:
-        return [e.to_record() for e in self.events]
-
-    def to_table(self) -> list[str]:
-        """Human-readable event table, one line per event."""
-        lines = [f"  {'step':>4}  {'kind':<10}  {'Q':>16}  {'W':>16}  description"]
-        for e in self.events:
-            lines.append(
-                f"  {e.step_index:>4}  {e.kind:<10}"
-                f"  {e.heat_absorbed_by_gas:>16.12g}"
-                f"  {e.work_done_by_gas:>16.12g}  {e.description}"
-            )
-        return lines
 
 
 def isothermal_work(n: float, t: float, v_initial: float, v_final: float) -> float:
@@ -300,7 +275,7 @@ def separate(lab: LabState, chamber: str, povm: Povm, names=None,
             GasComponent(res[i].post_state, comp.moles * res[i].probability)
             for comp, res in zip(ch.contents, outcomes)
             if res[i].post_state is not None
-            and comp.moles * res[i].probability > linalg.PRUNE_TOL
+            and comp.moles * res[i].probability > linalg.PRUNE_TOL * n_total
         ]
         fraction = sum(c.moles for c in collected) / n_total
         if fraction <= linalg.PRUNE_TOL:

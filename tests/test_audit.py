@@ -131,11 +131,3 @@ class TestScenarioVerdicts:
         assert marie_closed.classification == CONSISTENT
         assert marie_closed.q_total == pytest.approx(0.0, abs=1e-9)
 
-
-def test_verdict_record_format():
-    result = run_demo("jaynes-johann")
-    record = result.verdicts[0].to_record()
-    assert record.startswith("verdict observer=johann from=start")
-    assert "qOverT=0.69314718056" in record
-    assert "cycleClosed=true" in record
-    assert record.endswith("classification=apparent_violation")

@@ -6,8 +6,17 @@ import pytest
 
 from conftest import LN2, SEPARATION_HEAT
 from qgas import protocol
-from qgas.cli import CliConfig, _cfmt, main, parse_records, run_command
+from qgas.cli import (
+    CliConfig,
+    _cfmt,
+    _event_record,
+    _render_records,
+    main,
+    parse_records,
+    run_command,
+)
 from qgas.errors import DomainError
+from qgas.thermo import LedgerEvent
 
 EXPECTED_DEMOS = {
     "perfect-separation",
@@ -80,6 +89,46 @@ class TestRecordsFormat:
         assert len(verdicts) == 1
         assert verdicts[0]["observer"] == "tatiana"
 
+    def test_record_format_sig_digits(self):
+        event = LedgerEvent.isothermal(3, "separate", -SEPARATION_HEAT, 'with "quotes"')
+        record = _event_record(event)
+        assert record.startswith("event step=3 kind=separate q=-0.4164955307 ")
+        assert '\\"quotes\\"' in record
+        # 12 significant digits round-trip
+        q = float(record.split("q=")[1].split()[0])
+        assert q == pytest.approx(-SEPARATION_HEAT, rel=1e-11)
+
+    def test_verdict_record_format(self):
+        result = protocol.run_demo("jaynes-johann")
+        (record,) = [line for line in _render_records(result, None).splitlines()
+                     if line.startswith("verdict ")]
+        assert record.startswith("verdict observer=johann from=start")
+        assert "qOverT=0.69314718056" in record
+        assert "cycleClosed=true" in record
+        assert record.endswith("classification=apparent_violation")
+
+    @pytest.mark.parametrize("desc", [
+        "back\\slash",
+        "trailing backslash\\",
+        'a \\"quoted\\" backslash',
+        'ends in a quote"',
+        "q=1 w=2",
+        'q=1 w=2 desc="x" \\\\"',
+    ])
+    def test_description_round_trip(self, desc):
+        event = LedgerEvent.isothermal(7, "join", 0.25, desc)
+        (parsed,) = parse_records(_event_record(event))
+        assert parsed["desc"] == desc
+        assert (parsed["step"], parsed["q"], parsed["w"]) == (7, 0.25, 0.25)
+
+    def test_description_round_trip_fuzzed(self, rng):
+        alphabet = list('\\" =qw12a')
+        for _ in range(300):
+            desc = "".join(rng.choice(alphabet, size=int(rng.integers(0, 12))))
+            event = LedgerEvent.isothermal(1, "mix", -0.5, desc)
+            (parsed,) = parse_records(_event_record(event))
+            assert (parsed["desc"], parsed["q"]) == (desc, -0.5)
+
 
 class TestTableFormat:
     def test_contains_ledger_verdicts_views(self):
@@ -118,6 +167,15 @@ class TestExitCodes:
         code, _, err = run_command(CliConfig("run", str(tmp_path / "none.qgp")))
         assert code == 1
         assert err
+
+    def test_non_utf8_file_exits_1(self, tmp_path):
+        path = tmp_path / "latin1.qgp"
+        path.write_bytes(b"space lab dim 2\n# caf\xe9\n")
+        code, out, err = run_command(CliConfig("run", str(path)))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ")
+        assert "0xe9 in position 21" in err
+        assert err.count("\n") == 1
 
     def test_parse_error_exits_1(self, tmp_path):
         path = tmp_path / "bad.qgp"
@@ -270,6 +328,17 @@ class TestMainEntry:
         assert runs[0].stdout.strip().splitlines()[-1].endswith(
             "classification=apparent_violation"
         )
+
+
+def test_unknown_format_is_rejected(capsys):
+    with pytest.raises(DomainError, match="format must be one of table, records"):
+        CliConfig("demo", "perfect-separation", "json")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["demo", "perfect-separation", "--format", "json"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'json'" in captured.err
 
 
 def test_cli_config_validates_tol():

@@ -323,6 +323,20 @@ class TestExecute:
         volumes = sorted(c.volume for c in result.final_state.chambers.values())
         assert volumes == pytest.approx([P_LO, P_HI], abs=1e-9)
 
+    def test_separate_keeps_a_small_mole_gas(self):
+        # outcomes were pruned on absolute moles, so 1e-13 moles vanished
+        source = (
+            "space lab dim 2\nket zp = [1, 0]\nket zm = [0, 1]\n"
+            "gas g from ket zp\nchamber c volume 1.0\n"
+            "fill c { g : 1.0 } moles 1e-13\n"
+            "separate c by povm { zp, zm } into up down\n"
+        )
+        result = execute(parse(source))
+        assert result.ledger.events[-1].description == \
+            "separate c by {zp, zm} into up(1V)"
+        assert list(result.final_state.chambers) == ["up"]
+        assert result.final_state.chambers["up"].moles == 1e-13
+
     def test_fill_fraction_validation(self):
         bad = MINI.replace("gz+ : 0.5", "gz+ : 0.7")
         with pytest.raises(ProtocolRuntimeError) as err:

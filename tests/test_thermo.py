@@ -463,12 +463,3 @@ class TestLedger:
         assert ledger.q_total_since("mid") == pytest.approx(-0.1, abs=1e-15)
         with pytest.raises(UnknownCheckpointError):
             ledger.q_total_since("missing")
-
-    def test_record_format_sig_digits(self):
-        event = LedgerEvent.isothermal(3, "separate", -SEPARATION_HEAT, 'with "quotes"')
-        record = event.to_record()
-        assert record.startswith("event step=3 kind=separate q=-0.4164955307 ")
-        assert '\\"quotes\\"' in record
-        # 12 significant digits round-trip
-        q = float(record.split("q=")[1].split()[0])
-        assert q == pytest.approx(-SEPARATION_HEAT, rel=1e-11)
