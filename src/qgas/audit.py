@@ -33,10 +33,10 @@ class Verdict:
     classification: str
 
 
-def classify(cycle_closed: bool, q_over_t: float, tol: float) -> str:
+def classify(cycle_closed: bool, q_over_t: float, threshold: float) -> str:
     if not cycle_closed:
         return OPEN_CYCLE
-    return APPARENT_VIOLATION if q_over_t > tol else CONSISTENT
+    return APPARENT_VIOLATION if q_over_t > threshold else CONSISTENT
 
 
 def audit(ledger: Ledger, obs: Observer, from_label: str, current: LabState,
@@ -45,7 +45,9 @@ def audit(ledger: Ledger, obs: Observer, from_label: str, current: LabState,
 
     The cycle counts as closed when the checkpointed lab state and the
     current one are equivalent for this observer; differing chamber layouts
-    simply mean the cycle is open.
+    simply mean the cycle is open.  A closed span is an apparent violation
+    when Q/(nT) > tol, n the moles in the lab, so the verdict does not
+    depend on how much gas there is.
     """
     checkpoint = ledger.resolve(from_label)
     q_total = ledger.q_total_since(from_label)
@@ -60,5 +62,6 @@ def audit(ledger: Ledger, obs: Observer, from_label: str, current: LabState,
         q_total=q_total,
         q_over_t=q_over_t,
         cycle_closed=closed,
-        classification=classify(closed, q_over_t, tol),
+        classification=classify(closed, q_over_t,
+                                tol * checkpoint.state.total_moles()),
     )

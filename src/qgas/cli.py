@@ -178,7 +178,8 @@ def run_command(config: CliConfig) -> tuple[int, str, str]:
             source = protocol.demo_source(config.target)
         elif config.command == "run":
             try:
-                with open(config.target, encoding="utf-8") as handle:
+                # utf-8-sig also accepts the byte-order mark some editors write
+                with open(config.target, encoding="utf-8-sig") as handle:
                     source = handle.read()
             except OSError as exc:
                 return 1, "", f"error: {exc}\n"
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
         sp.add_argument("--format", choices=FORMATS,
                         default="table", help="output format")
         sp.add_argument("--tol", type=float, default=linalg.CLOSURE_TOL,
-                        help=f"slack of mix, closure and Q/T; in (0, {linalg.MAX_TOL:g})")
+                        help=f"slack of mix, closure and Q/(nT); in (0, {linalg.MAX_TOL:g})")
         sp.add_argument("--observer", default=None,
                         help="restrict verdicts and views to one observer")
 
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
     try:
         config = CliConfig(
             command=args.command,
-            target=getattr(args, "path", None) or getattr(args, "name", None),
+            target=args.path if args.command == "run" else getattr(args, "name", None),
             format=getattr(args, "format", "table"),
             tol=getattr(args, "tol", linalg.CLOSURE_TOL),
             observer=getattr(args, "observer", None),

@@ -50,7 +50,7 @@ BASIS_TOL = 1e-6  # residual of an axis skipped in a degenerate eigenspace
 COMPLETION_TOL = 1e-8  # residual of an axis skipped completing a rotation
 
 # Closure: the default of --tol, the slack of mix, of cycle closure and of
-# Q/T > tol; looser than the state checks, as it compares whole protocol
+# Q/(nT) > tol; looser than the state checks, as it compares whole protocol
 # runs.  At MAX_TOL mix would pass an effect passing both chambers at 1/2.
 CLOSURE_TOL = 1e-9
 MAX_TOL = 0.5

@@ -164,17 +164,21 @@ def view(obs: Observer, lab: LabState) -> ObserverView:
 def equivalence_mismatch(obs: Observer, a: LabState, b: LabState,
                          tol: float = linalg.CLOSURE_TOL) -> str | None:
     """None when the two lab states look the same to the observer, else a
-    one-line description of the first difference found."""
+    one-line description of the first difference found.  Volumes and moles
+    must agree within tol times a's total volume and total moles, so the
+    answer does not depend on how much gas there is."""
     if set(a.chambers) != set(b.chambers):
         raise ShapeError(
             f"chamber sets differ: {sorted(a.chambers)} vs {sorted(b.chambers)}"
         )
+    volume_tol = tol * sum(ch.volume for ch in a.chambers.values())
+    moles_tol = tol * a.total_moles()
     for name, cha in a.chambers.items():
         chb = b.chambers[name]
-        if abs(cha.volume - chb.volume) > tol:
+        if abs(cha.volume - chb.volume) > volume_tol:
             return (f"chamber {name!r} volume {cha.volume:.9g}"
                     f" vs {chb.volume:.9g}")
-        if abs(cha.moles - chb.moles) > tol:
+        if abs(cha.moles - chb.moles) > moles_tol:
             return f"chamber {name!r} moles {cha.moles:.9g} vs {chb.moles:.9g}"
         sa, sb = _coarse_aggregate(obs, cha), _coarse_aggregate(obs, chb)
         if (sa is None) != (sb is None):

@@ -81,20 +81,19 @@ KEYWORDS = frozenset(
 # tokens
 
 class _Token(NamedTuple):
-    kind: str  # id | number | punct | sign
+    kind: str  # id | number | imag | punct | sign | end
     text: str
-    line: int
     column: int
     value: float = 0.0
-    imag: bool = False
-    signed: bool = False
 
 
-_NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?(i?)")
+_NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(i?)")
 _PUNCT = set("{}[],:=")
 
 
 def _tokenize(text: str, lineno: int) -> list[_Token]:
+    """The tokens of one line, closed by an ``end`` token at the column just
+    past the last one, where an end-of-line error points."""
     tokens = []
     i = 0
     n = len(text)
@@ -107,37 +106,28 @@ def _tokenize(text: str, lineno: int) -> list[_Token]:
             break
         col = i + 1
         if c == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("punct", "->", lineno, col))
+            tokens.append(_Token("punct", "->", col))
             i += 2
             continue
         if c in _PUNCT:
-            tokens.append(_Token("punct", c, lineno, col))
+            tokens.append(_Token("punct", c, col))
             i += 1
             continue
         if c.isdigit() or c == "." or (
             c in "+-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")
         ):
-            start = i
-            sign = 1.0
-            signed = False
-            if c in "+-":
-                signed = True
-                sign = -1.0 if c == "-" else 1.0
-                i += 1
             m = _NUMBER_RE.match(text, i)
             if not m:
-                raise ParseError(lineno, col, "malformed number", text[start:start + 8])
-            i = m.end()
-            value = sign * float(m.group(1) + (m.group(2) or ""))
+                raise ParseError(lineno, col, "malformed number", text[i:i + 8])
+            value = float(m.group(1))
             if not math.isfinite(value):
-                raise ParseError(lineno, col, "non-finite number", text[start:i])
-            tokens.append(
-                _Token("number", text[start:i], lineno, col, value,
-                       imag=bool(m.group(3)), signed=signed)
-            )
+                raise ParseError(lineno, col, "non-finite number", m.group())
+            kind = "imag" if m.group(2) else "number"
+            tokens.append(_Token(kind, m.group(), col, value))
+            i = m.end()
             continue
         if c in "+-":
-            tokens.append(_Token("sign", c, lineno, col))
+            tokens.append(_Token("sign", c, col))
             i += 1
             continue
         if c.isalpha() or c == "_":
@@ -150,10 +140,12 @@ def _tokenize(text: str, lineno: int) -> list[_Token]:
                     j += 1
                 else:
                     break
-            tokens.append(_Token("id", text[i:j], lineno, col))
+            tokens.append(_Token("id", text[i:j], col))
             i = j
             continue
         raise ParseError(lineno, col, "unexpected character", c)
+    last = tokens[-1] if tokens else None
+    tokens.append(_Token("end", "", last.column + len(last.text) if last else 1))
     return tokens
 
 
@@ -165,23 +157,14 @@ class _Cursor:
 
     def error(self, message: str, token: _Token | None = None):
         token = token or self.peek()
-        if token is None:
-            last = self.tokens[-1] if self.tokens else None
-            col = (last.column + len(last.text)) if last else 1
-            raise ParseError(self.lineno, col, message)
-        raise ParseError(token.line, token.column, message, token.text)
+        raise ParseError(self.lineno, token.column, message, token.text)
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        # every caller has checked the token it takes
-        self.pos += 1
-        return self.tokens[self.pos - 1]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def at_punct(self, ch: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok.kind == "punct" and tok.text == ch
+        return tok.kind == "punct" and tok.text == ch
 
     def expect_punct(self, ch: str):
         if not self.at_punct(ch):
@@ -190,7 +173,7 @@ class _Cursor:
 
     def accept_keyword(self, word: str) -> bool:
         tok = self.peek()
-        if tok is not None and tok.kind == "id" and tok.text == word:
+        if tok.kind == "id" and tok.text == word:
             self.pos += 1
             return True
         return False
@@ -201,17 +184,19 @@ class _Cursor:
 
     def expect_name(self, what: str) -> _Token:
         tok = self.peek()
-        if tok is None or tok.kind != "id":
+        if tok.kind != "id":
             self.error(f"expected {what}")
         if tok.text in KEYWORDS:
             self.error(f"{tok.text!r} is a reserved word, not a valid {what}")
-        return self.take()
+        self.pos += 1
+        return tok
 
     def expect_real(self, what: str = "number") -> float:
         tok = self.peek()
-        if tok is None or tok.kind != "number" or tok.imag:
+        if tok.kind != "number":
             self.error(f"expected {what}")
-        return float(self.take().value)
+        self.pos += 1
+        return tok.value
 
     def expect_int(self, what: str = "integer") -> int:
         tok = self.peek()
@@ -221,40 +206,35 @@ class _Cursor:
         return int(value)
 
     def expect_complex(self) -> complex:
+        if self.peek().kind == "imag":
+            self.error("imaginary literal needs a real part first")
+        real = self.expect_real("a number")
         tok = self.peek()
-        if tok is None or tok.kind != "number":
-            self.error("expected a number")
-        first = self.take()
-        if first.imag:
-            self.error("imaginary literal needs a real part first", first)
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "number" and nxt.imag and nxt.signed:
-            self.take()
-            return complex(first.value, nxt.value)
-        if nxt is not None and nxt.kind == "sign":
-            sign = -1.0 if nxt.text == "-" else 1.0
-            self.take()
-            imag_tok = self.peek()
-            if imag_tok is None or imag_tok.kind != "number" or not imag_tok.imag:
+        if tok.kind == "imag" and tok.text[0] in "+-":
+            self.pos += 1
+            return complex(real, tok.value)
+        if tok.kind == "sign":
+            self.pos += 1
+            imag = self.peek()
+            if imag.kind != "imag":
                 self.error("expected an imaginary literal after sign")
-            self.take()
-            return complex(first.value, sign * imag_tok.value)
-        return complex(first.value, 0.0)
+            self.pos += 1
+            return complex(real, -imag.value if tok.text == "-" else imag.value)
+        return complex(real, 0.0)
 
     def comma_list(self, item, open: str, close: str) -> tuple:
         """``open item (, item)* close``, each item read by ``item()``."""
         self.expect_punct(open)
         items = [item()]
         while self.at_punct(","):
-            self.take()
+            self.pos += 1
             items.append(item())
         self.expect_punct(close)
         return tuple(items)
 
     def finish(self):
-        tok = self.peek()
-        if tok is not None:
-            self.error("unexpected trailing input", tok)
+        if self.peek().kind != "end":
+            self.error("unexpected trailing input")
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +614,7 @@ class SeparateStep(_Node):
         povm = None if cur.accept_keyword("eigenbasis") else PovmRef.parse(cur, names)
         cur.expect_keyword("into")
         targets = [cur.expect_name("chamber name")]
-        while cur.peek() is not None:
+        while cur.peek().kind != "end":
             targets.append(cur.expect_name("chamber name"))
         if len(targets) < 2:
             cur.error("separate needs at least two target chambers")
@@ -822,10 +802,11 @@ def parse(source: str) -> ProtocolAst:
 
     for lineno, raw in enumerate(source.split("\n"), start=1):
         tokens = _tokenize(raw, lineno)
-        if not tokens:
+        if tokens[0].kind == "end":
             continue
         cur = _Cursor(tokens, lineno)
-        head = cur.take()
+        head = cur.peek()
+        cur.pos += 1
         if head.kind != "id":
             cur.error("a statement must start with a keyword", head)
         if head.text in _DECLARATIONS:

@@ -1,5 +1,8 @@
+import importlib
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +180,15 @@ class TestExitCodes:
         assert "0xe9 in position 21" in err
         assert err.count("\n") == 1
 
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        source = protocol.demo_source("perfect-separation").encode("utf-8")
+        plain, marked = tmp_path / "plain.qgp", tmp_path / "marked.qgp"
+        plain.write_bytes(source)
+        marked.write_bytes(b"\xef\xbb\xbf" + source)
+        code, out, err = run_command(CliConfig("run", str(plain)))
+        assert (code, err) == (0, "")
+        assert run_command(CliConfig("run", str(marked))) == (code, out, err)
+
     def test_parse_error_exits_1(self, tmp_path):
         path = tmp_path / "bad.qgp"
         path.write_text("space lab dim\n")
@@ -314,6 +326,19 @@ class TestMainEntry:
         assert captured.out == ""
         assert "tol" in captured.err
 
+    def test_empty_run_path_is_a_plain_error(self, capsys):
+        # an empty path fell through to the absent demo name, None
+        assert main(["run", ""]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_console_script_is_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        module, _, name = config["project"]["scripts"]["qgas"].partition(":")
+        assert getattr(importlib.import_module(module), name) is main
+
     def test_module_invocation_deterministic(self):
         runs = [
             subprocess.run(
@@ -392,3 +417,24 @@ def test_tol_is_the_apparent_violation_threshold():
     assert verdicts["tatiana"]["cycleClosed"] is True
     assert verdicts["tatiana"]["classification"] == "consistent"
 
+
+_AMOUNT_RE = re.compile(r"\b(volume|moles) (\S+)")
+
+
+def _verdicts_of(tmp_path, source):
+    path = tmp_path / "protocol.qgp"
+    path.write_text(source, encoding="utf-8")
+    code, out, _ = run_command(CliConfig("run", str(path), format="records"))
+    return code, [(r["observer"], r["cycleClosed"], r["classification"])
+                  for r in parse_records(out) if r["type"] == "verdict"]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e9])
+@pytest.mark.parametrize("name", protocol.DEMO_NAMES)
+def test_verdicts_do_not_depend_on_the_amount_of_gas(tmp_path, name, scale):
+    # closure and Q/T > tol were absolute: 1e-12 moles turned an apparent
+    # violation consistent, and 1e9 opened closed cycles
+    source = protocol.demo_source(name)
+    scaled = _AMOUNT_RE.sub(lambda m: f"{m[1]} {float(m[2]) * scale!r}", source)
+    assert scaled != source
+    assert _verdicts_of(tmp_path, scaled) == _verdicts_of(tmp_path, source)

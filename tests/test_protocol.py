@@ -1,4 +1,5 @@
 import math
+import re
 import string
 
 import numpy as np
@@ -13,6 +14,7 @@ from qgas.errors import (
     ParseError,
     PovmError,
     ProtocolRuntimeError,
+    QgasError,
 )
 from qgas.protocol import (
     ChamberDecl,
@@ -50,9 +52,10 @@ class TestParse:
         assert ket.amplitudes == (complex(0.5, 0.5), complex(0.5, -0.5))
 
     def test_spaced_complex_literals(self):
-        ast = parse("space s dim 2\nket k = [0.5 + 0.5i, 1]\n")
+        ast = parse("space s dim 2\nket k = [0.5 + 0.5i, 1, 0.5 - 0.5i]\n")
         ket = next(d for d in ast.declarations if isinstance(d, KetDecl))
-        assert ket.amplitudes == (complex(0.5, 0.5), complex(1, 0))
+        assert ket.amplitudes == (complex(0.5, 0.5), complex(1, 0),
+                                  complex(0.5, -0.5))
 
     def test_matrix_gas(self):
         ast = parse(
@@ -192,6 +195,7 @@ PARSE_ERRORS = [
      "line 2, column 16: unexpected character (at '@')"),
     # cursor
     (_H + "ket k = [1, 0\n", "line 2, column 14: expected ']'"),
+    (_H + "ket k = [1 2i]\n", "line 2, column 12: expected ']' (at '2i')"),
     (_H + "gas m matrix [1, 0]\n", "line 2, column 15: expected '[' (at '1')"),
     (_H + "gas m matrix [[1, 0], 0]\n",
      "line 2, column 23: expected '[' (at '0')"),
@@ -210,6 +214,8 @@ PARSE_ERRORS = [
      "line 7, column 26: expected keyword 'into' (at 'd')"),
     (_C + "separate c by eigenbasis into\n",
      "line 7, column 30: expected chamber name"),
+    (_C + "separate c by eigenbasis into e f ]\n",
+     "line 7, column 35: expected chamber name (at ']')"),
     (_H + "gas dim from ket a\n",
      "line 2, column 5: 'dim' is a reserved word, not a valid gas name (at 'dim')"),
     ("space povm dim 2\n",
@@ -306,6 +312,52 @@ def test_parse_error_message(source, message):
     with pytest.raises(ParseError) as err:
         parse(source)
     assert str(err.value) == message
+
+
+_LEXEME = re.compile(r"->|[^\s{}\[\],:=]+|\S")
+_SPARE_TOKENS = ["@", ".", "+", "-", "->", "1i", "+1i", "2.5", "-0", "1e999",
+                 "{", "}", "[", "]", ",", ":", "=", "#", "ghost",
+                 *sorted(protocol.KEYWORDS)]
+
+
+def _edit_one_token(rng, source):
+    """Delete, swap with its successor, replace or insert one token of one
+    line; a new token is a spare one or any token of the source."""
+    lines = source.split("\n")
+    k = int(rng.integers(len(lines)))
+    tokens = _LEXEME.findall(lines[k])
+    pool = _SPARE_TOKENS + _LEXEME.findall(source)
+    word = pool[int(rng.integers(len(pool)))]
+    i = int(rng.integers(len(tokens))) if tokens else 0
+    op = int(rng.integers(4)) if tokens else 3
+    if op == 0:
+        del tokens[i]
+    elif op == 1:
+        tokens[i:i + 2] = tokens[i:i + 2][::-1]
+    elif op == 2:
+        tokens[i] = word
+    else:
+        tokens.insert(i, word)
+    lines[k] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+def test_token_edits_parse_or_fail_cleanly(rng):
+    sources = [protocol.demo_source(name) for name in protocol.DEMO_NAMES]
+    parsed = 0
+    for _ in range(500):
+        source = _edit_one_token(rng, sources[int(rng.integers(len(sources)))])
+        try:
+            ast = parse(source)
+        except ParseError:
+            continue
+        parsed += 1
+        assert parse(render(ast)) == ast
+        try:
+            execute(ast)
+        except QgasError:
+            pass
+    assert 0 < parsed < 500
 
 
 class TestExecute:
