@@ -23,8 +23,6 @@ from .errors import (
     PovmError,
     ProtocolRuntimeError,
     QgasError,
-    SectorError,
-    ShapeError,
     StateError,
     UnitaryError,
     UnknownChamberError,
@@ -108,8 +106,6 @@ __all__ = [
     "ProtocolAst",
     "ProtocolRuntimeError",
     "QgasError",
-    "SectorError",
-    "ShapeError",
     "StateError",
     "StatisticalMatrix",
     "UnitaryError",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ShapeError
 from .linalg import CLOSURE_TOL
 from .observers import Observer, states_equivalent
 from .thermo import LabState, Ledger
@@ -52,10 +51,7 @@ def audit(ledger: Ledger, obs: Observer, from_label: str, current: LabState,
     checkpoint = ledger.resolve(from_label)
     q_total = ledger.q_total_since(from_label)
     q_over_t = q_total / current.temperature
-    try:
-        closed = states_equivalent(obs, checkpoint.state, current, tol)
-    except ShapeError:
-        closed = False
+    closed = states_equivalent(obs, checkpoint.state, current, tol)
     return Verdict(
         observer=obs.name,
         from_checkpoint=from_label,

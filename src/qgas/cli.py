@@ -41,9 +41,6 @@ class CliConfig:
         if self.format not in FORMATS:
             raise DomainError(f"format must be one of {', '.join(FORMATS)},"
                               f" got {self.format!r}")
-        if not 0 < self.tol < linalg.MAX_TOL:
-            raise DomainError(f"tol must be positive and finite, got {self.tol};"
-                              f" its range is (0, {linalg.MAX_TOL:g})")
 
 
 def _snap(x: float) -> float:

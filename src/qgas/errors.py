@@ -59,14 +59,6 @@ class BasisError(QgasError):
     """Table kets do not form the orthonormal basis an observer requires."""
 
 
-class SectorError(QgasError):
-    """Observer table rows admit no valid grouping into sectors."""
-
-
-class ShapeError(QgasError):
-    """Two lab states cannot be compared chamber by chamber."""
-
-
 class UnknownCheckpointError(QgasError):
     """A checkpoint label was never recorded in the ledger."""
 

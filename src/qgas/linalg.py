@@ -159,28 +159,29 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _canonical_basis(b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of b's orthonormal columns, fixed by the
-    span alone: the axes e_1, e_2, ... projected onto it and Gram-Schmidt
-    orthonormalized in turn, skipping residuals below 1e-6.  e_j projects
-    to b c_j with c_j = conj(b[j, :]), so the Gram-Schmidt runs on the c_j.
+def canonical_basis(p: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of the range of the orthogonal projector p, fixed by
+    the range alone: the axes e_1, e_2, ... projected by p (the columns of
+    p) and Gram-Schmidt orthonormalized in turn, skipping residuals at or
+    below tol, until tr p vectors are kept.  Returns them as columns.
 
     The vectors come in the order of the axes they are built from.  Before
     any phasing each is real positive at its own axis, vanishes on the
-    earlier axes that were kept, and is below 1e-6 (not necessarily zero)
+    earlier axes that were kept, and is below tol (not necessarily zero)
     on the earlier axes that were skipped.
     """
+    rank = round(float(np.trace(p).real))
     q: list[list[complex]] = []
-    for c in b.conj().tolist():
+    for c in p.T.tolist():
+        if len(q) == rank:
+            break
         for u in q:
             s = sum(x.conjugate() * y for x, y in zip(u, c))
             c = [y - s * x for x, y in zip(u, c)]
         norm = math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in c))
-        if norm > BASIS_TOL:
+        if norm > tol:
             q.append([x / norm for x in c])
-        if len(q) == b.shape[1]:
-            break
-    return b @ np.array(q).T
+    return np.array(q, dtype=complex).reshape(len(q), p.shape[0]).T
 
 
 def _canonicalize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -192,7 +193,8 @@ def _canonicalize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     for i in range(1, len(wl) + 1):
         if i == len(wl) or wl[i - 1] - wl[i] > TIE_TOL:
             if i - start > 1:
-                v[:, start:i] = _canonical_basis(v[:, start:i])
+                b = v[:, start:i]
+                v[:, start:i] = canonical_basis(b @ b.conj().T, BASIS_TOL)
             start = i
     return np.column_stack([_fix_phase(c) for c in v.T])
 

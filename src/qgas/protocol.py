@@ -52,7 +52,6 @@ from .errors import (
     ParseError,
     ProtocolRuntimeError,
     QgasError,
-    ShapeError,
 )
 from .observers import (
     Observer,
@@ -749,10 +748,7 @@ class AssertClosedStep(_ObserverCheck, _Node):
     def run(self, ctx: _Run, index: int):
         obs = ctx.observers[self.observer]
         checkpoint = ctx.ledger.resolve(self.checkpoint)
-        try:
-            mismatch = equivalence_mismatch(obs, checkpoint.state, ctx.lab, ctx.tol)
-        except ShapeError as exc:
-            mismatch = str(exc)
+        mismatch = equivalence_mismatch(obs, checkpoint.state, ctx.lab, ctx.tol)
         if mismatch is not None:
             raise AssertClosedError(
                 f"step {index} (line {self.line}): observer {self.observer!r}"

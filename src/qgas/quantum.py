@@ -32,13 +32,16 @@ class StatisticalMatrix:
     label: str | None = None
 
     def __post_init__(self):
-        m = linalg.as_hermitian(self.matrix, "statistical matrix not Hermitian")
-        spectrum = np.linalg.eigvalsh(m)
+        # finite entries near the float limit overflow to inf or nan here;
+        # the checks below are written so that nan fails them
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = linalg.as_hermitian(self.matrix, "statistical matrix not Hermitian")
+            spectrum = np.linalg.eigvalsh(m)
         tr = float(spectrum.sum())
-        if abs(tr - 1.0) > linalg.TRACE_TOL:
+        if not abs(tr - 1.0) <= linalg.TRACE_TOL:
             raise StateError(f"trace must be 1, got {tr:.12g}")
         low = float(spectrum[0])
-        if low < -linalg.PSD_TOL:
+        if not low >= -linalg.PSD_TOL:
             raise StateError(f"matrix is not positive (eigenvalue {low:.3g})")
         # m is a fresh array from as_hermitian, so freezing it in place is safe
         m.flags.writeable = False

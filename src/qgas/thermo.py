@@ -331,23 +331,6 @@ def mix(lab: LabState, a: str, b: str, povm: Povm, name=None,
     return new_lab, LedgerEvent.isothermal(step_index, "mix", q, desc)
 
 
-def _gram_schmidt_completion(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Extend an orthonormal list to a full basis, preferring canonical
-    axes in index order (deterministic)."""
-    basis = list(vectors)
-    for i in range(dim):
-        cand = np.zeros(dim, dtype=complex)
-        cand[i] = 1.0
-        for v in basis:
-            cand = cand - np.vdot(v, cand) * v
-        norm = float(np.linalg.norm(cand))
-        if norm > linalg.COMPLETION_TOL:
-            basis.append(cand / norm)
-        if len(basis) == dim:
-            break
-    return basis[len(vectors):]
-
-
 def rotation_unitary(mapping, dim: int) -> np.ndarray:
     """Unitary sending each source ket to its image ket.
 
@@ -360,12 +343,14 @@ def rotation_unitary(mapping, dim: int) -> np.ndarray:
         raise UnitaryError("mapping needs matching source and image kets")
     if any(s.size != dim for s in sources) or any(i.size != dim for i in images):
         raise DimensionError("mapping kets must live in the lab space")
+    full = []
     for group, what in ((sources, "source"), (images, "image")):
-        linalg.check_orthonormal(np.column_stack(group), UnitaryError,
-                                 f"{what} kets are not orthonormal")
-    sources = sources + _gram_schmidt_completion(sources, dim)
-    images = images + _gram_schmidt_completion(images, dim)
-    u = sum(np.outer(i, s.conj()) for s, i in zip(sources, images))
+        s = np.column_stack(group)
+        linalg.check_orthonormal(s, UnitaryError, f"{what} kets are not orthonormal")
+        # completed by the canonical basis of the orthogonal complement
+        rest = np.eye(dim) - s @ s.conj().T
+        full.append(np.hstack([s, linalg.canonical_basis(rest, linalg.COMPLETION_TOL)]))
+    u = full[1] @ full[0].conj().T
     linalg.check_orthonormal(u, UnitaryError, "mapping does not extend to a unitary")
     u.flags.writeable = False
     return u

@@ -204,6 +204,19 @@ class TestExitCodes:
         code, out, err = run_command(CliConfig("run", str(path)))
         assert (code, out) == (1, "")
         assert "line 2" in err and "non-finite" in err
+
+    def test_overflowing_gas_matrix_fails_at_its_declaration(self, tmp_path):
+        # reported where the state is declared, not at its first step
+        path = tmp_path / "huge.qgp"
+        path.write_text("space lab dim 2\n"
+                        "gas g matrix [[1e308, 1e308], [1e308, 1e308]]\n"
+                        "chamber c volume 1.0\n"
+                        "fill c { g : 1.0 } moles 1.0\n"
+                        "separate c by eigenbasis into a b\n")
+        code, out, err = run_command(CliConfig("run", str(path)))
+        assert (code, out) == (1, "")
+        assert err == "runtime error: declaration (line 2): trace must be 1, got nan\n"
+
     def test_ragged_gas_matrix_exits_1(self, tmp_path):
         path = tmp_path / "ragged.qgp"
         path.write_text("space lab dim 2\ngas g matrix [[1, 0], [0]]\n")
@@ -366,13 +379,13 @@ def test_unknown_format_is_rejected(capsys):
     assert "invalid choice: 'json'" in captured.err
 
 
-def test_cli_config_validates_tol():
-    with pytest.raises(DomainError):
-        CliConfig("demo", "peres-tatiana", tol=0.0)
-    with pytest.raises(DomainError):
-        CliConfig("demo", "peres-tatiana", tol=float("inf"))
-    with pytest.raises(DomainError, match=r"its range is \(0, 0.5\)"):
-        CliConfig("run", "same-gas.qgp", tol=0.5)
+@pytest.mark.parametrize("tol", [0.0, float("inf"), 0.5])
+def test_run_command_validates_tol(tol):
+    # execute checks the range once; the CLI reports it as a plain error
+    code, out, err = run_command(CliConfig("demo", "peres-tatiana", tol=tol))
+    assert (code, out) == (1, "")
+    assert err == (f"error: tol must be positive and finite, got {tol};"
+                   " its range is (0, 0.5)\n")
 
 
 # two samples of one gas, merged by membranes that tell neither apart

@@ -449,6 +449,24 @@ class TestExecute:
         message = str(err.value)
         assert "me" in message and "'c'" in message
 
+    def test_assert_closed_reports_a_changed_chamber_layout(self):
+        source = (
+            "space lab dim 2\n"
+            "ket z+ = [1, 0]\n"
+            "ket z- = [0, 1]\n"
+            "gas g from ket z+\n"
+            "observer me table { z+ -> z+, z- -> z- } dim 2\n"
+            "chamber c volume 1.0\n"
+            "fill c { g : 1.0 } moles 1.0\n"
+            "checkpoint start\n"
+            "partition c at 0.5 into l r\n"
+            "assert-closed me from start\n"
+        )
+        with pytest.raises(AssertClosedError) as err:
+            execute(parse(source))
+        assert str(err.value).endswith(
+            "sees an open cycle from 'start': chamber sets differ: ['c'] vs ['l', 'r']")
+
     # at 1/2 and above, mix passes an effect passing both chambers
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9, 0.5, 0.6])
     def test_tol_must_be_positive_and_finite(self, tol):

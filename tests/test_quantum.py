@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ class TestStatisticalMatrix:
     def test_rejects_negative(self):
         with pytest.raises(StateError):
             sm(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("matrix", [
+        [[1e308, 1e308], [1e308, 1e308]],
+        [[1e308, 0], [0, 1e308]],
+        [[0.5, 1e308], [1e308, 0.5]],
+    ])
+    def test_rejects_entries_whose_hermitian_part_overflows(self, matrix):
+        # the Hermitian part overflows to inf and nan, which both the trace
+        # and the positivity check must reject
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateError):
+                sm(np.array(matrix))
 
     def test_matrix_is_read_only(self):
         s = sm(Z_PLUS)

@@ -273,6 +273,14 @@ class TestRotate:
         got = new_lab.chambers["c"].contents[0].state.matrix
         assert np.max(np.abs(got - want)) < 1e-10
 
+    def test_partial_mapping_completed_on_canonical_axes(self):
+        # the complement of each side is spanned by the projected axes in
+        # order; the image side skips e1, whose residual vanishes
+        r = 1 / math.sqrt(2)
+        u = rotation_unitary([([1, 0, 0], [r, r, 0])], 3)
+        want = np.array([[r, r, 0], [r, -r, 0], [0, 0, 1]])
+        np.testing.assert_allclose(u, want, rtol=0, atol=1e-15)
+
     def test_non_unitary_mapping_rejected(self):
         lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
         overlapping = [(E2[0], E2[0]), ([1, 1], E2[1])]
