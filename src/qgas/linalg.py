@@ -119,12 +119,18 @@ def hermitian_part(m) -> np.ndarray:
 
 def as_hermitian(m, message: str) -> np.ndarray:
     """Coerce m with as_matrix and return its exactly Hermitian part; raise
-    NotHermitianError(message) when max|m - m^dagger| exceeds HERMITIAN_TOL."""
+    NotHermitianError(message) when max|m - m^dagger| exceeds HERMITIAN_TOL.
+
+    Finite entries near the float limit overflow to inf or nan in the
+    Hermitian part without a warning, so a caller's checks must fail on
+    them."""
     a = as_matrix(m)
-    defect = float(np.max(np.abs(a - a.conj().T)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.max(np.abs(a - a.conj().T)))
+        h = hermitian_part(a)
     if not defect <= HERMITIAN_TOL:
         raise NotHermitianError(f"{message} (defect {defect:.3g})")
-    return hermitian_part(a)
+    return h
 
 
 def conjugate(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -139,8 +145,10 @@ def conjugate(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def check_orthonormal(columns: np.ndarray, error: type[Exception],
                       message: str) -> None:
     """Raise error(message) unless the columns are orthonormal: C^dagger C
-    equals the identity within ORTHONORMAL_TOL entrywise (NaN fails)."""
-    gap = np.abs(columns.conj().T @ columns - np.eye(columns.shape[1]))
+    equals the identity within ORTHONORMAL_TOL entrywise (NaN fails, and
+    entries whose products overflow give it without a warning)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(columns.conj().T @ columns - np.eye(columns.shape[1]))
     if not np.max(gap) <= ORTHONORMAL_TOL:
         raise error(message)
 
@@ -215,9 +223,12 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     descending lexicographic (real, imag) order, reading entries below 1e-10
     as zero.
 
-    Raises NotHermitianError when m is not Hermitian within HERMITIAN_TOL.
+    Raises NotHermitianError when m is not Hermitian within HERMITIAN_TOL
+    and DomainError when its Hermitian part overflows the float range.
     """
     a = as_hermitian(m, f"matrix is not Hermitian within {HERMITIAN_TOL:g}")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix entries overflow the float range")
     w, v = np.linalg.eigh(a)
     w, v = w[::-1].copy(), v[:, ::-1]
     return w, _canonicalize(w, v)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -382,10 +382,7 @@ class TempDecl(_Node):
         return f"temp {_fmt_real(self.value)}"
 
     def run(self, ctx: _Run):
-        if not 0 < self.value < math.inf:
-            raise DomainError(
-                f"temperature must be positive and finite, got {self.value}"
-            )
+        thermo.check_temperature(self.value)
         ctx.temperature = self.value
 
 
@@ -902,7 +899,7 @@ def demo_source(name: str) -> str:
         raise DomainError(
             f"unknown demo {name!r}; available: {', '.join(DEMO_NAMES)}"
         )
-    path = resources.files("qgas").joinpath("protocols", f"{name}.qgp")
+    path = Path(__file__).parent / "protocols" / f"{name}.qgp"
     return path.read_text(encoding="utf-8")
 
 

@@ -5,6 +5,19 @@ internal quantum degree of freedom shared by all particles of a gas sample.
 A membrane is modelled by a POVM: a list of effects A_i whose action on a
 state is rho -> A_i rho A_i^dagger / tr(...), with completeness
 sum_i A_i^dagger A_i = I guaranteeing total probability one.
+
+States are validated once, at the boundary.  ``StatisticalMatrix(m)`` and
+``StatisticalMatrix.pure(ket)`` check everything: shape, finiteness,
+Hermiticity, trace one and positivity (one ``eigvalsh``).  A state derived
+from checked states by a checked operation is positive by construction:
+an outcome update (``measure``), a unitary conjugation (``thermo.rotate``),
+a convex mix (``thermo.aggregate_state``), an eigenprojector
+(``thermo.eigen_mixture``) and a coarse-graining (``observers.coarse_grain``).
+Those five build their states with the private
+``StatisticalMatrix._derived``.  It stores the same exactly Hermitian
+matrix, runs no eigensolver and checks only the trace: the operators they
+apply (unitaries, POVM effects, observer sectors) are checked only within
+``linalg.ORTHONORMAL_TOL``, which can move a trace past ``linalg.TRACE_TOL``.
 """
 
 from __future__ import annotations
@@ -23,6 +36,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_trace(tr: float) -> None:
+    if not abs(tr - 1.0) <= linalg.TRACE_TOL:
+        raise StateError(f"trace must be 1, got {tr:.12g}")
+
+
 @dataclass(frozen=True, eq=False)
 class StatisticalMatrix:
     """Trace-one positive Hermitian matrix, optionally carrying a short label
@@ -32,20 +50,32 @@ class StatisticalMatrix:
     label: str | None = None
 
     def __post_init__(self):
-        # finite entries near the float limit overflow to inf or nan here;
-        # the checks below are written so that nan fails them
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = linalg.as_hermitian(self.matrix, "statistical matrix not Hermitian")
-            spectrum = np.linalg.eigvalsh(m)
-        tr = float(spectrum.sum())
-        if not abs(tr - 1.0) <= linalg.TRACE_TOL:
-            raise StateError(f"trace must be 1, got {tr:.12g}")
+        # an overflowing Hermitian part holds inf or nan, and eigvalsh
+        # returns nan for it: the checks below are written so that nan fails
+        m = linalg.as_hermitian(self.matrix, "statistical matrix not Hermitian")
+        spectrum = np.linalg.eigvalsh(m)
+        _check_trace(float(spectrum.sum()))
         low = float(spectrum[0])
         if not low >= -linalg.PSD_TOL:
             raise StateError(f"matrix is not positive (eigenvalue {low:.3g})")
         # m is a fresh array from as_hermitian, so freezing it in place is safe
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _derived(cls, m: np.ndarray,
+                 label: str | None = None) -> "StatisticalMatrix":
+        """The state of a complex matrix derived from checked states by one
+        of the five operations named in the module docstring: the matrix
+        __post_init__ would store, frozen, with the trace checked but no
+        eigensolver run."""
+        h = linalg.hermitian_part(m)
+        _check_trace(float(h.trace().real))
+        h.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "matrix", h)
+        object.__setattr__(self, "label", label)
+        return self
 
     @property
     def dim(self) -> int:
@@ -139,7 +169,7 @@ def measure(povm: Povm, rho: StatisticalMatrix) -> list[OutcomeResult]:
             results.append(OutcomeResult(p, None))
         else:
             results.append(
-                OutcomeResult(p, StatisticalMatrix(raw / p, label=label))
+                OutcomeResult(p, StatisticalMatrix._derived(raw / p, label))
             )
     return results
 

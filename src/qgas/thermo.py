@@ -16,6 +16,7 @@ chamber a coarse observer calls "pure" is in fact a mixture.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,6 +77,15 @@ class Chamber:
         return sum(c.moles for c in self.contents)
 
 
+def check_temperature(t: float) -> None:
+    """Raise DomainError unless t is finite and at least the smallest normal
+    float: below it every ledger entry n R T ln(...) is subnormal, with too
+    few digits left to read Q / (nT) back."""
+    if not sys.float_info.min <= t < math.inf:
+        raise DomainError(f"temperature must be finite and at least"
+                          f" {sys.float_info.min!r}, got {t!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class LabState:
     """Everything in the lab: temperature, named chambers, and the Hilbert
@@ -86,10 +96,7 @@ class LabState:
     lab_dim: int
 
     def __post_init__(self):
-        if not 0 < self.temperature < math.inf:
-            raise DomainError(
-                f"temperature must be positive and finite, got {self.temperature}"
-            )
+        check_temperature(self.temperature)
 
     def chamber(self, name: str) -> Chamber:
         try:
@@ -189,14 +196,14 @@ def aggregate_state(chamber: Chamber) -> StatisticalMatrix:
         raise EmptyChamberError(f"chamber {chamber.name!r} holds no gas")
     n = chamber.moles
     m = sum((c.moles / n) * c.state.matrix for c in chamber.contents)
-    return StatisticalMatrix(m)
+    return StatisticalMatrix._derived(m)
 
 
 def eigen_mixture(state: StatisticalMatrix) -> list[tuple[float, StatisticalMatrix]]:
     """The state as (weight, eigenprojector) pairs in descending weight,
     weights up to linalg.PRUNE_TOL dropped."""
     w, v = linalg.hermitian_eig(state.matrix)
-    return [(float(w[i]), StatisticalMatrix.pure(v[:, i]))
+    return [(float(w[i]), StatisticalMatrix._derived(linalg.projector(v[:, i])))
             for i in range(len(w)) if w[i] > linalg.PRUNE_TOL]
 
 
@@ -368,7 +375,8 @@ def rotate(lab: LabState, chamber: str, u: np.ndarray, mapped: int,
         )
     linalg.check_orthonormal(u, UnitaryError, "rotation is not unitary")
     contents = tuple(
-        GasComponent(StatisticalMatrix(u @ c.state.matrix @ u.conj().T), c.moles)
+        GasComponent(StatisticalMatrix._derived(u @ c.state.matrix @ u.conj().T),
+                     c.moles)
         for c in ch.contents
     )
     rotated = Chamber(ch.name, ch.volume, _merge(contents))

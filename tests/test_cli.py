@@ -217,6 +217,17 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "runtime error: declaration (line 2): trace must be 1, got nan\n"
 
+    def test_subnormal_temperature_fails_at_its_declaration(self, tmp_path):
+        # a subnormal T made a two-mole mix log q = 1.38634820223e-320
+        # instead of 2 ln 2 * 1e-320
+        path = tmp_path / "cold.qgp"
+        path.write_text("space lab dim 2\ntemp 1e-320\n")
+        code, out, err = run_command(CliConfig("run", str(path)))
+        assert (code, out) == (1, "")
+        assert err == ("runtime error: declaration (line 2): temperature must"
+                       " be finite and at least 2.2250738585072014e-308,"
+                       " got 1e-320\n")
+
     def test_ragged_gas_matrix_exits_1(self, tmp_path):
         path = tmp_path / "ragged.qgp"
         path.write_text("space lab dim 2\ngas g matrix [[1, 0], [0]]\n")

@@ -7,7 +7,9 @@ import hashlib
 
 import pytest
 
+from qgas import protocol
 from qgas.cli import CliConfig, run_command
+from qgas.quantum import StatisticalMatrix
 
 GOLDEN = {
     ("perfect-separation", "table"):
@@ -42,3 +44,22 @@ def test_demo_output_is_pinned(name, fmt):
     code, out, err = run_command(CliConfig("demo", name, fmt))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name, fmt]
+
+
+@pytest.mark.parametrize("name, fmt", sorted(GOLDEN))
+def test_states_are_checked_once_at_their_declaration(name, fmt, monkeypatch):
+    # only the gas declarations build a state through the full check; every
+    # state derived from them, views included, skips it
+    checks = []
+    post_init = StatisticalMatrix.__post_init__
+
+    def counting_post_init(state):
+        checks.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(StatisticalMatrix, "__post_init__", counting_post_init)
+    code, _, _ = run_command(CliConfig("demo", name, fmt))
+    assert code == 0
+    ast = protocol.parse(protocol.demo_source(name))
+    gases = [d for d in ast.declarations if isinstance(d, protocol.GasDecl)]
+    assert len(checks) == len(gases) > 0

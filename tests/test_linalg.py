@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,3 +260,11 @@ def test_as_ket_normalizes_finite_entries_whose_norm_overflows():
     # the norm of these entries is above the largest float; the ket is not
     assert np.allclose(linalg.as_ket([1e200, 0]), [1, 0])
     assert np.allclose(linalg.as_ket([1e308, 1e308j]), [1 / math.sqrt(2), 1j / math.sqrt(2)])
+
+
+def test_hermitian_eig_rejects_a_hermitian_part_that_overflows():
+    # 1e308 + 1e308 overflows; it used to warn, then return nan eigenvalues
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow"):
+            linalg.hermitian_eig([[1e308, 0], [0, 1e308]])

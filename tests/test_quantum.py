@@ -86,6 +86,22 @@ class TestStatisticalMatrix:
             s.matrix[0, 0] = 2.0
 
 
+class TestDerived:
+    def test_stores_what_the_full_check_stores(self, rng):
+        for dim in range(1, 9):
+            c = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = c @ c.conj().T
+            m = m / np.trace(m) + 1e-14j * rng.normal(size=(dim, dim))
+            full = sm(m, label="g")
+            derived = StatisticalMatrix._derived(m, "g")
+            assert derived.matrix.tobytes() == full.matrix.tobytes()
+            assert derived.label == "g" and not derived.matrix.flags.writeable
+
+    def test_checks_the_trace(self):
+        with pytest.raises(StateError, match="trace must be 1, got 2"):
+            StatisticalMatrix._derived(np.eye(2, dtype=complex))
+
+
 class TestPovm:
     def test_completeness_enforced(self):
         with pytest.raises(PovmError):
@@ -94,6 +110,13 @@ class TestPovm:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             Povm((np.eye(2), np.zeros((3, 3))))
+
+    def test_effects_whose_products_overflow_rejected(self):
+        # A^dagger A of a 1e200 effect overflows; it used to warn first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PovmError):
+                Povm((1e200 * np.eye(2), np.eye(2)))
 
     def test_labels_default(self):
         p = zpovm()

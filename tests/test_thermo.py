@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qgas.errors import (
     DomainError,
     EmptyChamberError,
     IndistinguishableError,
+    StateError,
     UnitaryError,
     UnknownChamberError,
     UnknownCheckpointError,
@@ -98,6 +100,12 @@ def test_constructors_reject_non_finite(bad):
         LabState(bad, {}, 2)
     with pytest.raises(DomainError, match="finite"):
         LedgerEvent.isothermal(1, "mix", bad, "overflowed")
+
+
+def test_lab_rejects_a_subnormal_temperature():
+    with pytest.raises(DomainError, match="at least"):
+        LabState(1e-320, {}, 2)
+    assert LabState(sys.float_info.min, {}, 2).temperature == sys.float_info.min
 
 
 def test_chamber_rejects_overflowing_moles():
@@ -288,6 +296,16 @@ class TestRotate:
             rotate(lab, "c", rotation_unitary(overlapping, 2), 2)
         with pytest.raises(UnitaryError):
             rotate(lab, "c", rotation_unitary([(E2[0], E2[0]), (E2[1], E2[0])], 2), 2)
+
+    def test_nearly_unitary_rotation_fails_on_the_trace(self):
+        # kets orthonormal within ORTHONORMAL_TOL give a unitary that
+        # passes its own check but moves the trace by ~1e-10: the rotated
+        # state, which skips the eigensolver check, still fails on it
+        u = rotation_unitary([([0.6, 0.8], E2[0]),
+                              ([0.8, -0.6000000001], E2[1])], 2)
+        lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
+        with pytest.raises(StateError, match="trace must be 1"):
+            rotate(lab, "c", u, 2)
 
     def test_rotation_matrix_checked(self):
         lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))

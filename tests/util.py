@@ -43,12 +43,13 @@ def random_orthogonal_pair(rng, dim):
     return StatisticalMatrix.pure(u[:, 0]), StatisticalMatrix.pure(u[:, 1])
 
 
-def skewed_ket(rng, basis):
+def skewed_ket(rng, basis, lowest=-4.5):
     """Unit amplitude on one random column of the orthonormal basis and
-    amplitudes of 1e-4.5 to 1e-2.5, with random phases, on all the others:
-    outcome probabilities of about 1e-9 to 1e-5 in that basis."""
+    amplitudes of 10**lowest to 1e-2.5, with random phases, on all the
+    others: outcome probabilities of about 10**(2 lowest) (1e-9 by default)
+    to 1e-5 in that basis."""
     dim = basis.shape[0]
-    amps = 10.0 ** rng.uniform(-4.5, -2.5, size=dim)
+    amps = 10.0 ** rng.uniform(lowest, -2.5, size=dim)
     amps = amps * np.exp(2j * np.pi * rng.uniform(size=dim))
     amps[rng.integers(dim)] = 1.0
     return basis @ amps
