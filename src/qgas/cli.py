@@ -210,9 +210,9 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command")
     run_p = sub.add_parser("run", help="execute a protocol file")
-    run_p.add_argument("path", help="protocol source file")
+    run_p.add_argument("target", metavar="path", help="protocol source file")
     demo_p = sub.add_parser("demo", help="replay a bundled demo")
-    demo_p.add_argument("name", help="demo name (see list-demos)")
+    demo_p.add_argument("target", metavar="name", help="demo name (see list-demos)")
     sub.add_parser("list-demos", help="list the bundled demos")
     for sp in (run_p, demo_p):
         sp.add_argument("--format", choices=FORMATS,
@@ -227,13 +227,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        config = CliConfig(
-            command=args.command,
-            target=args.path if args.command == "run" else getattr(args, "name", None),
-            format=getattr(args, "format", "table"),
-            tol=getattr(args, "tol", linalg.CLOSURE_TOL),
-            observer=getattr(args, "observer", None),
-        )
+        config = CliConfig(**vars(args))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,7 +32,9 @@ space declared first, and all declarations must precede the first step.
 Each statement is one node class below: its fields, its grammar
 (``parse``), its canonical text (``render``) and its effect on a run
 (``run``) sit side by side, and two keyword tables map the first word of
-a line to its class.
+a line to its class.  Every line's parse cursor shares one name table,
+the names declared so far per kind; ``chamber`` holds the live chambers,
+which steps consume and create.
 """
 
 from __future__ import annotations
@@ -149,10 +151,12 @@ def _tokenize(text: str, lineno: int) -> list[_Token]:
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token], lineno: int):
+    def __init__(self, tokens: list[_Token], lineno: int,
+                 names: dict[str, set[str]]):
         self.tokens = tokens
         self.lineno = lineno
         self.pos = 0
+        self.names = names
 
     def error(self, message: str, token: _Token | None = None):
         token = token or self.peek()
@@ -235,46 +239,46 @@ class _Cursor:
         if self.peek().kind != "end":
             self.error("unexpected trailing input")
 
+    def declare(self, kind: str, what: str = "") -> str:
+        tok = self.expect_name(what or f"{kind} name")
+        if tok.text in self.names[kind]:
+            self.error(f"duplicate {kind} {tok.text!r}", tok)
+        self.names[kind].add(tok.text)
+        return tok.text
+
+    def need(self, kind: str, what: str = "") -> str:
+        tok = self.expect_name(what or f"{kind} name")
+        if tok.text not in self.names[kind]:
+            self.error(f"undeclared {kind} {tok.text!r}", tok)
+        return tok.text
+
+    def consume(self, tok: _Token) -> str:
+        """Chamber ``tok`` must be live; a step uses it up."""
+        if tok.text not in self.names["chamber"]:
+            self.error(f"undeclared chamber {tok.text!r}", tok)
+        self.names["chamber"].discard(tok.text)
+        return tok.text
+
+    def create(self, toks: list[_Token]) -> tuple[str, ...]:
+        """The one target rule: each target, in order, must not repeat an
+        earlier one nor name a live chamber, and then becomes live."""
+        for i, tok in enumerate(toks):
+            if any(t.text == tok.text for t in toks[:i]):
+                self.error(f"duplicate target chamber {tok.text!r}", tok)
+            if tok.text in self.names["chamber"]:
+                self.error(f"chamber {tok.text!r} already exists", tok)
+            self.names["chamber"].add(tok.text)
+        return tuple(t.text for t in toks)
+
+    def once(self, keyword: str):
+        """``space`` and ``temp`` are declared at most once."""
+        if self.names[keyword]:
+            self.error(f"duplicate {keyword} declaration")
+        self.names[keyword].add(keyword)
+
 
 # ---------------------------------------------------------------------------
 # statements (``parse`` is called with the keyword already taken)
-
-class _Names:
-    """Declaration and liveness tracking for parse-time checks."""
-
-    def __init__(self):
-        self.space: SpaceDecl | None = None
-        self.temp_seen = False
-        self.kets: set[str] = set()
-        self.gases: set[str] = set()
-        self.observers: set[str] = set()
-        self.filled: set[str] = set()
-        self.live_chambers: set[str] = set()
-        self.checkpoints: set[str] = set()
-
-    def declare(self, cur: _Cursor, kind: str, pool: set[str], what: str = ""):
-        tok = cur.expect_name(what or f"{kind} name")
-        if tok.text in pool:
-            cur.error(f"duplicate {kind} {tok.text!r}", tok)
-        pool.add(tok.text)
-        return tok.text
-
-    def need(self, cur: _Cursor, kind: str, pool: set[str], what: str = ""):
-        tok = cur.expect_name(what or f"{kind} name")
-        if tok.text not in pool:
-            cur.error(f"undeclared {kind} {tok.text!r}", tok)
-        return tok.text
-
-    def consume_chamber(self, cur: _Cursor, tok: _Token):
-        if tok.text not in self.live_chambers:
-            cur.error(f"undeclared chamber {tok.text!r}", tok)
-        self.live_chambers.discard(tok.text)
-
-    def create_chamber(self, cur: _Cursor, tok: _Token):
-        if tok.text in self.live_chambers:
-            cur.error(f"chamber {tok.text!r} already exists", tok)
-        self.live_chambers.add(tok.text)
-
 
 class _Run:
     """What one execute call threads through its statements: the stage the
@@ -322,11 +326,11 @@ def _fmt_vector(zs) -> str:
     return "[" + ", ".join(_fmt_complex(z) for z in zs) + "]"
 
 
-def _parse_ket_map(cur: _Cursor, names: _Names) -> tuple[tuple[str, str], ...]:
+def _parse_ket_map(cur: _Cursor) -> tuple[tuple[str, str], ...]:
     def pair():
-        source = names.need(cur, "ket", names.kets, "ket")
+        source = cur.need("ket", "ket")
         cur.expect_punct("->")
-        return source, names.need(cur, "ket", names.kets, "ket")
+        return source, cur.need("ket", "ket")
 
     return cur.comma_list(pair, "{", "}")
 
@@ -348,13 +352,11 @@ class SpaceDecl(_Node):
     dim: int
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        if names.space is not None:
-            cur.error("duplicate space declaration")
+    def parse(cls, cur: _Cursor):
+        cur.once("space")
         name = cur.expect_name("space name").text
         cur.expect_keyword("dim")
-        names.space = cls(name, cur.expect_int("dimension"), line=cur.lineno)
-        return names.space
+        return cls(name, cur.expect_int("dimension"), line=cur.lineno)
 
     def render(self) -> str:
         return f"space {self.name} dim {self.dim}"
@@ -372,10 +374,8 @@ class TempDecl(_Node):
     value: float
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        if names.temp_seen:
-            cur.error("duplicate temp declaration")
-        names.temp_seen = True
+    def parse(cls, cur: _Cursor):
+        cur.once("temp")
         return cls(cur.expect_real("temperature"), line=cur.lineno)
 
     def render(self) -> str:
@@ -392,8 +392,8 @@ class KetDecl(_Node):
     amplitudes: tuple[complex, ...]
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        name = names.declare(cur, "ket", names.kets)
+    def parse(cls, cur: _Cursor):
+        name = cur.declare("ket")
         cur.expect_punct("=")
         return cls(name, cur.comma_list(cur.expect_complex, "[", "]"),
                    line=cur.lineno)
@@ -412,12 +412,11 @@ class GasDecl(_Node):
     matrix: tuple[tuple[complex, ...], ...] | None = None
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        name = names.declare(cur, "gas", names.gases)
+    def parse(cls, cur: _Cursor):
+        name = cur.declare("gas")
         if cur.accept_keyword("from"):
             cur.expect_keyword("ket")
-            return cls(name, ket=names.need(cur, "ket", names.kets),
-                       line=cur.lineno)
+            return cls(name, ket=cur.need("ket"), line=cur.lineno)
         cur.expect_keyword("matrix")
         rows = cur.comma_list(
             lambda: cur.comma_list(cur.expect_complex, "[", "]"), "[", "]")
@@ -449,10 +448,10 @@ class ObserverDecl(_Node):
     dim: int
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        name = names.declare(cur, "observer", names.observers)
+    def parse(cls, cur: _Cursor):
+        name = cur.declare("observer")
         cur.expect_keyword("table")
-        table = _parse_ket_map(cur, names)
+        table = _parse_ket_map(cur)
         cur.expect_keyword("dim")
         return cls(name, table, cur.expect_int("dimension"), line=cur.lineno)
 
@@ -477,8 +476,8 @@ class ChamberDecl(_Node):
     volume: float
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        name = names.declare(cur, "chamber", names.live_chambers)
+    def parse(cls, cur: _Cursor):
+        name = cur.declare("chamber")
         cur.expect_keyword("volume")
         return cls(name, cur.expect_real("volume"), line=cur.lineno)
 
@@ -496,15 +495,15 @@ class FillDecl(_Node):
     moles: float
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
+    def parse(cls, cur: _Cursor):
         tok = cur.peek()
-        chamber = names.need(cur, "chamber", names.live_chambers)
-        if chamber in names.filled:
+        chamber = cur.need("chamber")
+        if chamber in cur.names["filled"]:
             cur.error(f"chamber {chamber!r} is already filled", tok)
-        names.filled.add(chamber)
+        cur.names["filled"].add(chamber)
 
         def part():
-            gas = names.need(cur, "gas", names.gases)
+            gas = cur.need("gas")
             cur.expect_punct(":")
             return gas, cur.expect_real("fraction")
 
@@ -539,12 +538,12 @@ class PovmRef:
     lift: str | None = None
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
+    def parse(cls, cur: _Cursor):
         cur.expect_keyword("povm")
         lift = None
         if cur.accept_keyword("lift"):
-            lift = names.need(cur, "observer", names.observers)
-        kets = cur.comma_list(lambda: names.need(cur, "ket", names.kets), "{", "}")
+            lift = cur.need("observer")
+        kets = cur.comma_list(lambda: cur.need("ket"), "{", "}")
         return cls(kets, lift)
 
     def render(self) -> str:
@@ -561,18 +560,15 @@ class PovmRef:
         return ctx.povms[self]
 
 
-def _parse_merge(cur: _Cursor, names: _Names, verb: str) -> tuple[str, str, str]:
+def _parse_merge(cur: _Cursor, verb: str) -> tuple[str, str, str]:
     """``A B into C``: consumes chambers A and B, creates C."""
     a = cur.expect_name("chamber name")
     b = cur.expect_name("chamber name")
     if a.text == b.text:
         cur.error(f"cannot {verb} a chamber with itself", b)
-    names.consume_chamber(cur, a)
-    names.consume_chamber(cur, b)
+    sources = cur.consume(a), cur.consume(b)
     cur.expect_keyword("into")
-    target = cur.expect_name("chamber name")
-    names.create_chamber(cur, target)
-    return a.text, b.text, target.text
+    return sources + cur.create([cur.expect_name("chamber name")])
 
 
 @dataclass(frozen=True)
@@ -583,10 +579,10 @@ class MixStep(_Node):
     povm: PovmRef
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        merge = _parse_merge(cur, names, "mix")
+    def parse(cls, cur: _Cursor):
+        merge = _parse_merge(cur, "mix")
         cur.expect_keyword("by")
-        return cls(*merge, PovmRef.parse(cur, names), line=cur.lineno)
+        return cls(*merge, PovmRef.parse(cur), line=cur.lineno)
 
     def render(self) -> str:
         return f"mix {self.a} {self.b} into {self.target} by {self.povm.render()}"
@@ -603,23 +599,17 @@ class SeparateStep(_Node):
     targets: tuple[str, ...]
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        chamber = cur.expect_name("chamber name")
-        names.consume_chamber(cur, chamber)
+    def parse(cls, cur: _Cursor):
+        chamber = cur.consume(cur.expect_name("chamber name"))
         cur.expect_keyword("by")
-        povm = None if cur.accept_keyword("eigenbasis") else PovmRef.parse(cur, names)
+        povm = None if cur.accept_keyword("eigenbasis") else PovmRef.parse(cur)
         cur.expect_keyword("into")
         targets = [cur.expect_name("chamber name")]
         while cur.peek().kind != "end":
             targets.append(cur.expect_name("chamber name"))
         if len(targets) < 2:
             cur.error("separate needs at least two target chambers")
-        for i, tok in enumerate(targets):
-            if any(t.text == tok.text for t in targets[:i]):
-                cur.error(f"duplicate target chamber {tok.text!r}", tok)
-            names.create_chamber(cur, tok)
-        return cls(chamber.text, povm, tuple(t.text for t in targets),
-                   line=cur.lineno)
+        return cls(chamber, povm, cur.create(targets), line=cur.lineno)
 
     def render(self) -> str:
         by = "eigenbasis" if self.povm is None else self.povm.render()
@@ -641,10 +631,10 @@ class RotateStep(_Node):
     mapping: tuple[tuple[str, str], ...]
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        chamber = names.need(cur, "chamber", names.live_chambers)
+    def parse(cls, cur: _Cursor):
+        chamber = cur.need("chamber")
         cur.expect_keyword("map")
-        return cls(chamber, _parse_ket_map(cur, names), line=cur.lineno)
+        return cls(chamber, _parse_ket_map(cur), line=cur.lineno)
 
     def render(self) -> str:
         return f"rotate {self.chamber} map {_fmt_ket_map(self.mapping)}"
@@ -664,20 +654,13 @@ class PartitionStep(_Node):
     targets: tuple[str, str]
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        chamber = cur.expect_name("chamber name")
-        names.consume_chamber(cur, chamber)
+    def parse(cls, cur: _Cursor):
+        chamber = cur.consume(cur.expect_name("chamber name"))
         cur.expect_keyword("at")
         fraction = cur.expect_real("fraction")
         cur.expect_keyword("into")
-        first = cur.expect_name("chamber name")
-        second = cur.expect_name("chamber name")
-        if first.text == second.text:
-            cur.error(f"duplicate target chamber {second.text!r}", second)
-        names.create_chamber(cur, first)
-        names.create_chamber(cur, second)
-        return cls(chamber.text, fraction, (first.text, second.text),
-                   line=cur.lineno)
+        targets = [cur.expect_name("chamber name"), cur.expect_name("chamber name")]
+        return cls(chamber, fraction, cur.create(targets), line=cur.lineno)
 
     def render(self) -> str:
         return (f"partition {self.chamber} at {_fmt_real(self.fraction)}"
@@ -695,8 +678,8 @@ class JoinStep(_Node):
     target: str
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        return cls(*_parse_merge(cur, names, "join"), line=cur.lineno)
+    def parse(cls, cur: _Cursor):
+        return cls(*_parse_merge(cur, "join"), line=cur.lineno)
 
     def render(self) -> str:
         return f"join {self.a} {self.b} into {self.target}"
@@ -711,9 +694,8 @@ class CheckpointStep(_Node):
     label: str
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        return cls(names.declare(cur, "checkpoint", names.checkpoints,
-                                 "checkpoint label"), line=cur.lineno)
+    def parse(cls, cur: _Cursor):
+        return cls(cur.declare("checkpoint", "checkpoint label"), line=cur.lineno)
 
     def render(self) -> str:
         return f"checkpoint {self.label}"
@@ -726,11 +708,11 @@ class _ObserverCheck:
     """``KEYWORD observer from checkpoint``: one observer's look at a span."""
 
     @classmethod
-    def parse(cls, cur: _Cursor, names: _Names):
-        observer = names.need(cur, "observer", names.observers)
+    def parse(cls, cur: _Cursor):
+        observer = cur.need("observer")
         cur.expect_keyword("from")
-        return cls(observer, names.need(cur, "checkpoint", names.checkpoints,
-                                        "checkpoint label"), line=cur.lineno)
+        return cls(observer, cur.need("checkpoint", "checkpoint label"),
+                   line=cur.lineno)
 
     def render(self) -> str:
         return f"{self.keyword} {self.observer} from {self.checkpoint}"
@@ -791,13 +773,14 @@ def parse(source: str) -> ProtocolAst:
     """
     declarations: list = []
     steps: list = []
-    names = _Names()
+    names = {kind: set() for kind in
+             "ket gas observer chamber checkpoint filled space temp".split()}
 
     for lineno, raw in enumerate(source.split("\n"), start=1):
         tokens = _tokenize(raw, lineno)
         if tokens[0].kind == "end":
             continue
-        cur = _Cursor(tokens, lineno)
+        cur = _Cursor(tokens, lineno, names)
         head = cur.peek()
         cur.pos += 1
         if head.kind != "id":
@@ -805,16 +788,16 @@ def parse(source: str) -> ProtocolAst:
         if head.text in _DECLARATIONS:
             if steps:
                 cur.error("declarations must precede the first step", head)
-            declarations.append(_DECLARATIONS[head.text].parse(cur, names))
+            declarations.append(_DECLARATIONS[head.text].parse(cur))
         elif head.text in _STEPS:
-            if names.space is None:
+            if not names["space"]:
                 cur.error("missing space declaration before steps", head)
-            steps.append(_STEPS[head.text].parse(cur, names))
+            steps.append(_STEPS[head.text].parse(cur))
         else:
             cur.error("unknown statement", head)
         cur.finish()
 
-    if names.space is None:
+    if not names["space"]:
         raise ParseError(1, 1, "protocol needs exactly one space declaration")
     return ProtocolAst(tuple(declarations), tuple(steps))
 

@@ -124,6 +124,9 @@ class LedgerEvent:
             raise DomainError(f"unknown event kind {self.kind!r}")
         if not math.isfinite(self.heat_absorbed_by_gas):
             raise DomainError(f"heat must be finite, got {self.heat_absorbed_by_gas}")
+        if 0 < abs(self.heat_absorbed_by_gas) < sys.float_info.min:
+            raise DomainError(f"heat must be 0 or at least {sys.float_info.min!r}"
+                              f" in size, got {self.heat_absorbed_by_gas!r}")
         if self.heat_absorbed_by_gas != self.work_done_by_gas:
             raise DomainError("isothermal events must satisfy Q == W")
 

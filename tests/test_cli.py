@@ -228,6 +228,21 @@ class TestExitCodes:
                        " be finite and at least 2.2250738585072014e-308,"
                        " got 1e-320\n")
 
+    def test_subnormal_heat_fails_at_its_step(self, tmp_path):
+        # a normal T times a tiny amount logged q = 1.38634820223e-320
+        # instead of 2e-20 * ln 2 * 1e-300
+        path = tmp_path / "tiny.qgp"
+        path.write_text(
+            "space lab dim 2\ntemp 1e-300\nket a = [1, 0]\nket b = [0, 1]\n"
+            "gas ga from ket a\ngas gb from ket b\n"
+            "chamber c volume 1.0\nchamber d volume 1.0\n"
+            "fill c { ga : 1.0 } moles 1e-20\nfill d { gb : 1.0 } moles 1e-20\n"
+            "checkpoint s\nmix c d into e by povm { a, b }\n")
+        code, out, err = run_command(CliConfig("run", str(path)))
+        assert (code, out) == (1, "")
+        assert err == ("runtime error: step 1 (line 12): heat must be 0 or at least"
+                       " 2.2250738585072014e-308 in size, got 1.3863e-320\n")
+
     def test_ragged_gas_matrix_exits_1(self, tmp_path):
         path = tmp_path / "ragged.qgp"
         path.write_text("space lab dim 2\ngas g matrix [[1, 0], [0]]\n")

@@ -304,6 +304,11 @@ PARSE_ERRORS = [
      "line 7, column 33: duplicate target chamber 'e' (at 'e')"),
     (_C + "partition c at 0.5 into e e\n",
      "line 7, column 27: duplicate target chamber 'e' (at 'e')"),
+    # one target rule: per target in order, a repeat and then a live chamber
+    (_C + "partition c at 0.5 into d d\n",
+     "line 7, column 25: chamber 'd' already exists (at 'd')"),
+    (_C + "separate c by eigenbasis into d d\n",
+     "line 7, column 31: chamber 'd' already exists (at 'd')"),
 ]
 
 
@@ -349,7 +354,11 @@ def test_token_edits_parse_or_fail_cleanly(rng):
         source = _edit_one_token(rng, sources[int(rng.integers(len(sources)))])
         try:
             ast = parse(source)
-        except ParseError:
+        except ParseError as err:
+            if err.message != "protocol needs exactly one space declaration":
+                line = source.split("\n")[err.line - 1]
+                assert 1 <= err.column <= len(line) + 1, str(err)
+                assert line[err.column - 1:].startswith(err.token), str(err)
             continue
         parsed += 1
         assert parse(render(ast)) == ast
