@@ -135,11 +135,11 @@ def as_hermitian(m, message: str) -> np.ndarray:
 
 def conjugate(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """The unnormalized outcome update a rho a^dagger of two matrices already
-    checked by as_matrix, made exactly Hermitian so that dividing it by a
-    small outcome probability cannot blow its round-off up past a
-    Hermiticity check."""
+    checked by as_matrix.  Its round-off leaves it Hermitian only nearly; a
+    state built from it goes through StatisticalMatrix._derived, which takes
+    the exactly Hermitian part."""
     _same_dim(a, rho)
-    return hermitian_part(a @ rho @ a.conj().T)
+    return a @ rho @ a.conj().T
 
 
 def check_orthonormal(columns: np.ndarray, error: type[Exception],

@@ -89,6 +89,8 @@ class _Token(NamedTuple):
 
 
 _NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(i?)")
+# the rest of an identifier; a '-' before '>' starts an arrow instead
+_IDENT_RE = re.compile(r"[\w+]*(?:-(?!>)[\w+]*)*")
 _PUNCT = set("{}[],:=")
 
 
@@ -132,15 +134,7 @@ def _tokenize(text: str, lineno: int) -> list[_Token]:
             i += 1
             continue
         if c.isalpha() or c == "_":
-            j = i
-            while j < n:
-                ch = text[j]
-                if ch.isalnum() or ch in "_+":
-                    j += 1
-                elif ch == "-" and not (j + 1 < n and text[j + 1] == ">"):
-                    j += 1
-                else:
-                    break
+            j = _IDENT_RE.match(text, i + 1).end()
             tokens.append(_Token("id", text[i:j], col))
             i = j
             continue
@@ -165,48 +159,40 @@ class _Cursor:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == ch
-
-    def expect_punct(self, ch: str):
-        if not self.at_punct(ch):
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def accept_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "id" and tok.text == word:
+    def accept(self, word: str) -> bool:
+        if self.peek().text == word:
             self.pos += 1
             return True
         return False
 
-    def expect_keyword(self, word: str):
-        if not self.accept_keyword(word):
-            self.error(f"expected keyword {word!r}")
+    def expect(self, word: str):
+        if not self.accept(word):
+            if word in KEYWORDS:
+                self.error(f"expected keyword {word!r}")
+            self.error(f"expected {word!r}")
 
-    def expect_name(self, what: str) -> _Token:
+    def take(self, kind: str, what: str) -> _Token:
+        """The next token, which must be of ``kind`` (``what`` in the error)."""
         tok = self.peek()
-        if tok.kind != "id":
+        if tok.kind != kind:
             self.error(f"expected {what}")
-        if tok.text in KEYWORDS:
-            self.error(f"{tok.text!r} is a reserved word, not a valid {what}")
         self.pos += 1
         return tok
 
+    def expect_name(self, what: str) -> _Token:
+        tok = self.take("id", what)
+        if tok.text in KEYWORDS:
+            self.error(f"{tok.text!r} is a reserved word, not a valid {what}", tok)
+        return tok
+
     def expect_real(self, what: str = "number") -> float:
-        tok = self.peek()
-        if tok.kind != "number":
-            self.error(f"expected {what}")
-        self.pos += 1
-        return tok.value
+        return self.take("number", what).value
 
     def expect_int(self, what: str = "integer") -> int:
-        tok = self.peek()
-        value = self.expect_real(what)
-        if value != int(value):
+        tok = self.take("number", what)
+        if tok.value != int(tok.value):
             self.error(f"expected {what}", tok)
-        return int(value)
+        return int(tok.value)
 
     def expect_complex(self) -> complex:
         if self.peek().kind == "imag":
@@ -218,21 +204,17 @@ class _Cursor:
             return complex(real, tok.value)
         if tok.kind == "sign":
             self.pos += 1
-            imag = self.peek()
-            if imag.kind != "imag":
-                self.error("expected an imaginary literal after sign")
-            self.pos += 1
-            return complex(real, -imag.value if tok.text == "-" else imag.value)
+            imag = self.take("imag", "an imaginary literal after sign").value
+            return complex(real, -imag if tok.text == "-" else imag)
         return complex(real, 0.0)
 
     def comma_list(self, item, open: str, close: str) -> tuple:
         """``open item (, item)* close``, each item read by ``item()``."""
-        self.expect_punct(open)
+        self.expect(open)
         items = [item()]
-        while self.at_punct(","):
-            self.pos += 1
+        while self.accept(","):
             items.append(item())
-        self.expect_punct(close)
+        self.expect(close)
         return tuple(items)
 
     def finish(self):
@@ -329,7 +311,7 @@ def _fmt_vector(zs) -> str:
 def _parse_ket_map(cur: _Cursor) -> tuple[tuple[str, str], ...]:
     def pair():
         source = cur.need("ket", "ket")
-        cur.expect_punct("->")
+        cur.expect("->")
         return source, cur.need("ket", "ket")
 
     return cur.comma_list(pair, "{", "}")
@@ -355,7 +337,7 @@ class SpaceDecl(_Node):
     def parse(cls, cur: _Cursor):
         cur.once("space")
         name = cur.expect_name("space name").text
-        cur.expect_keyword("dim")
+        cur.expect("dim")
         return cls(name, cur.expect_int("dimension"), line=cur.lineno)
 
     def render(self) -> str:
@@ -394,7 +376,7 @@ class KetDecl(_Node):
     @classmethod
     def parse(cls, cur: _Cursor):
         name = cur.declare("ket")
-        cur.expect_punct("=")
+        cur.expect("=")
         return cls(name, cur.comma_list(cur.expect_complex, "[", "]"),
                    line=cur.lineno)
 
@@ -414,10 +396,10 @@ class GasDecl(_Node):
     @classmethod
     def parse(cls, cur: _Cursor):
         name = cur.declare("gas")
-        if cur.accept_keyword("from"):
-            cur.expect_keyword("ket")
+        if cur.accept("from"):
+            cur.expect("ket")
             return cls(name, ket=cur.need("ket"), line=cur.lineno)
-        cur.expect_keyword("matrix")
+        cur.expect("matrix")
         rows = cur.comma_list(
             lambda: cur.comma_list(cur.expect_complex, "[", "]"), "[", "]")
         return cls(name, matrix=rows, line=cur.lineno)
@@ -450,9 +432,9 @@ class ObserverDecl(_Node):
     @classmethod
     def parse(cls, cur: _Cursor):
         name = cur.declare("observer")
-        cur.expect_keyword("table")
+        cur.expect("table")
         table = _parse_ket_map(cur)
-        cur.expect_keyword("dim")
+        cur.expect("dim")
         return cls(name, table, cur.expect_int("dimension"), line=cur.lineno)
 
     def render(self) -> str:
@@ -478,7 +460,7 @@ class ChamberDecl(_Node):
     @classmethod
     def parse(cls, cur: _Cursor):
         name = cur.declare("chamber")
-        cur.expect_keyword("volume")
+        cur.expect("volume")
         return cls(name, cur.expect_real("volume"), line=cur.lineno)
 
     def render(self) -> str:
@@ -504,11 +486,11 @@ class FillDecl(_Node):
 
         def part():
             gas = cur.need("gas")
-            cur.expect_punct(":")
+            cur.expect(":")
             return gas, cur.expect_real("fraction")
 
         parts = cur.comma_list(part, "{", "}")
-        cur.expect_keyword("moles")
+        cur.expect("moles")
         return cls(chamber, parts, cur.expect_real("moles"), line=cur.lineno)
 
     def render(self) -> str:
@@ -539,9 +521,9 @@ class PovmRef:
 
     @classmethod
     def parse(cls, cur: _Cursor):
-        cur.expect_keyword("povm")
+        cur.expect("povm")
         lift = None
-        if cur.accept_keyword("lift"):
+        if cur.accept("lift"):
             lift = cur.need("observer")
         kets = cur.comma_list(lambda: cur.need("ket"), "{", "}")
         return cls(kets, lift)
@@ -567,7 +549,7 @@ def _parse_merge(cur: _Cursor, verb: str) -> tuple[str, str, str]:
     if a.text == b.text:
         cur.error(f"cannot {verb} a chamber with itself", b)
     sources = cur.consume(a), cur.consume(b)
-    cur.expect_keyword("into")
+    cur.expect("into")
     return sources + cur.create([cur.expect_name("chamber name")])
 
 
@@ -581,7 +563,7 @@ class MixStep(_Node):
     @classmethod
     def parse(cls, cur: _Cursor):
         merge = _parse_merge(cur, "mix")
-        cur.expect_keyword("by")
+        cur.expect("by")
         return cls(*merge, PovmRef.parse(cur), line=cur.lineno)
 
     def render(self) -> str:
@@ -601,9 +583,9 @@ class SeparateStep(_Node):
     @classmethod
     def parse(cls, cur: _Cursor):
         chamber = cur.consume(cur.expect_name("chamber name"))
-        cur.expect_keyword("by")
-        povm = None if cur.accept_keyword("eigenbasis") else PovmRef.parse(cur)
-        cur.expect_keyword("into")
+        cur.expect("by")
+        povm = None if cur.accept("eigenbasis") else PovmRef.parse(cur)
+        cur.expect("into")
         targets = [cur.expect_name("chamber name")]
         while cur.peek().kind != "end":
             targets.append(cur.expect_name("chamber name"))
@@ -633,7 +615,7 @@ class RotateStep(_Node):
     @classmethod
     def parse(cls, cur: _Cursor):
         chamber = cur.need("chamber")
-        cur.expect_keyword("map")
+        cur.expect("map")
         return cls(chamber, _parse_ket_map(cur), line=cur.lineno)
 
     def render(self) -> str:
@@ -656,9 +638,9 @@ class PartitionStep(_Node):
     @classmethod
     def parse(cls, cur: _Cursor):
         chamber = cur.consume(cur.expect_name("chamber name"))
-        cur.expect_keyword("at")
+        cur.expect("at")
         fraction = cur.expect_real("fraction")
-        cur.expect_keyword("into")
+        cur.expect("into")
         targets = [cur.expect_name("chamber name"), cur.expect_name("chamber name")]
         return cls(chamber, fraction, cur.create(targets), line=cur.lineno)
 
@@ -710,7 +692,7 @@ class _ObserverCheck:
     @classmethod
     def parse(cls, cur: _Cursor):
         observer = cur.need("observer")
-        cur.expect_keyword("from")
+        cur.expect("from")
         return cls(observer, cur.need("checkpoint", "checkpoint label"),
                    line=cur.lineno)
 

@@ -15,9 +15,9 @@ a convex mix (``thermo.aggregate_state``), an eigenprojector
 (``thermo.eigen_mixture``) and a coarse-graining (``observers.coarse_grain``).
 Those five build their states with the private
 ``StatisticalMatrix._derived``.  It stores the same exactly Hermitian
-matrix, runs no eigensolver and checks only the trace: the operators they
-apply (unitaries, POVM effects, observer sectors) are checked only within
-``linalg.ORTHONORMAL_TOL``, which can move a trace past ``linalg.TRACE_TOL``.
+matrix, runs no eigensolver and checks only the trace, which guards the
+five formulas: the unitaries and observer sectors they apply are made
+exact once built, and ``measure`` normalizes by the trace it reads.
 """
 
 from __future__ import annotations
@@ -163,13 +163,13 @@ def measure(povm: Povm, rho: StatisticalMatrix) -> list[OutcomeResult]:
     results = []
     for a, label in zip(povm.effects, povm.outcome_labels):
         raw = linalg.conjugate(a, rho.matrix)
-        p = float(np.real(np.trace(raw)))
-        p = min(max(p, 0.0), 1.0)
+        tr = float(np.real(np.trace(raw)))
+        p = min(max(tr, 0.0), 1.0)  # tr may pass 1 by ORTHONORMAL_TOL
         if p < linalg.ZERO_PROB:
             results.append(OutcomeResult(p, None))
         else:
             results.append(
-                OutcomeResult(p, StatisticalMatrix._derived(raw / p, label))
+                OutcomeResult(p, StatisticalMatrix._derived(raw / tr, label))
             )
     return results
 

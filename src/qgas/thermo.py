@@ -362,6 +362,10 @@ def rotation_unitary(mapping, dim: int) -> np.ndarray:
         full.append(np.hstack([s, linalg.canonical_basis(rest, linalg.COMPLETION_TOL)]))
     u = full[1] @ full[0].conj().T
     linalg.check_orthonormal(u, UnitaryError, "mapping does not extend to a unitary")
+    # kets orthonormal within ORTHONORMAL_TOL leave u as far from unitary,
+    # enough to move a rotated trace past TRACE_TOL: keep the nearest unitary
+    w, _, vh = np.linalg.svd(u)
+    u = w @ vh
     u.flags.writeable = False
     return u
 

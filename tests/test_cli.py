@@ -142,6 +142,27 @@ class TestTableFormat:
         assert "final views:" in out
         assert "observer tatiana:" in out
 
+    def test_observer_filter_views_an_empty_chamber(self, tmp_path):
+        path = tmp_path / "empty.qgp"
+        path.write_text(
+            "space lab dim 2\nket z+ = [1, 0]\nket z- = [0, 1]\nket one = [1]\n"
+            "gas g from ket z+\n"
+            "observer me table { z+ -> z+, z- -> z- } dim 2\n"
+            "observer blind table { z+ -> one, z- -> one } dim 1\n"
+            "chamber c volume 1.0\nchamber e volume 1.0\n"
+            "fill c { g : 1.0 } moles 1.0\n"
+        )
+        code, out, err = run_command(CliConfig("run", str(path), observer="me"))
+        assert (code, err) == (0, "")
+        assert out == (
+            "ledger:\n"
+            "  step  kind                       Q                 W  description\n"
+            "final views:\n"
+            "  observer me:\n"
+            "    c: V=1 n=1  1 * (1, 0)\n"
+            "    e: V=1 n=0  (empty)\n"
+        )
+
     def test_unknown_observer_filter(self):
         code, _, err = run_command(
             CliConfig("demo", "peres-tatiana", observer="nobody")

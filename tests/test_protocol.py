@@ -501,6 +501,42 @@ class TestExecute:
         for event in result.ledger.events:
             assert event.heat_absorbed_by_gas == event.work_done_by_gas
 
+    @pytest.mark.parametrize("step, message", [
+        ("fill c { g : 1 } moles 1\nseparate c by povm { z+, z- } into x y w",
+         "need 2 outcome names, got 3"),
+        ("separate c by povm { z+, z- } into x y", "chamber 'c' holds no gas"),
+        ("fill c { g : 1 } moles 1\nket a = [1, 0, 0]\nket b = [0, 1, 0]\n"
+         "rotate c map { a -> b }", "mapping kets must live in the lab space"),
+    ], ids=["outcome-names", "unfilled", "rotate-dim"])
+    def test_bad_step_reported_at_its_line(self, step, message):
+        source = DECL_HEAD + "ket z- = [0, 1]\nchamber c volume 1\n" + step + "\n"
+        line = source.count("\n")
+        with pytest.raises(ProtocolRuntimeError) as err:
+            execute(parse(source))
+        assert (err.value.step_index, err.value.line) == (0, line)
+        assert str(err.value) == f"step 0 (line {line}): {message}"
+
+    # kets orthonormal only within ORTHONORMAL_TOL: the rotation and the
+    # observer channel built from them used to move a state's trace by ~1e-10
+    NEARLY_ORTHONORMAL = ("space lab dim 2\nket z+ = [1, 0]\nket z- = [0, 1]\n"
+                          "ket a = [0.6, 0.8]\nket b = [0.8, -0.6000000001]\n")
+
+    def test_nearly_orthonormal_mapping_rotates(self):
+        result = execute(parse(
+            self.NEARLY_ORTHONORMAL + "gas g from ket z+\nchamber c volume 1.0\n"
+            "fill c { g : 1.0 } moles 1.0\nrotate c map { a -> z+, b -> z- }\n"))
+        (component,) = result.final_state.chambers["c"].contents
+        np.testing.assert_allclose(component.state.matrix,
+                                   [[0.36, 0.48], [0.48, 0.64]], atol=1e-9)
+
+    def test_nearly_orthonormal_observer_audits(self):
+        result = execute(parse(
+            self.NEARLY_ORTHONORMAL + "ket x+ = [1, 1]\ngas g from ket x+\n"
+            "observer v table { z+ -> a, z- -> b } dim 2\n"
+            "chamber c volume 1.0\nfill c { g : 1.0 } moles 1.0\n"
+            "checkpoint start\naudit v from start\n"))
+        assert [v.classification for v in result.verdicts] == ["consistent"]
+
     def test_demo_sources_are_stable(self):
         assert protocol.demo_source("peres-tatiana") == protocol.demo_source(
             "peres-tatiana"
@@ -510,22 +546,48 @@ class TestExecute:
 DECL_HEAD = "space lab dim 2\nket z+ = [1, 0]\ngas g from ket z+\n"
 
 
+#: (source, line, message) of a protocol whose first bad declaration is
+#: reported at its line; every DomainError a declaration raises is pinned here
+DECLARATION_ERRORS = [
+    (DECL_HEAD + "chamber c volume -1\nfill c { g : 1 } moles 1\n",
+     4, "volume must be positive and finite, got -1.0"),
+    (DECL_HEAD + "chamber c volume -1\nchamber d volume 1\n"
+     "fill d { g : 0.7 } moles 1\n",
+     4, "volume must be positive and finite, got -1.0"),
+    ("ket z+ = [1, 0]\ngas g from ket z+\nspace lab dim 2\n",
+     2, "gas 'g' is declared before the space"),
+    ("ket z+ = [1, 0]\nobserver o table { z+ -> z+ } dim 1\n"
+     "space lab dim 2\n",
+     2, "observer 'o' is declared before the space"),
+    ("space lab dim 9\n", 1, "space dimension 9 outside 1..8"),
+    ("space lab dim 2\ngas g matrix [[1]]\n",
+     2, "gas 'g' has dim 1, lab space has dim 2"),
+    (DECL_HEAD + "ket t = [1, 0, 0]\nket o = [1]\n"
+     "observer v table { t -> o } dim 1\n",
+     6, "observer 'v' table needs lab kets of dim 2, got 3"),
+    (DECL_HEAD + "ket o = [1, 0]\nobserver v table { z+ -> o } dim 1\n",
+     5, "observer kets must have dimension 1"),
+    ("space lab dim 2\nket k = [1, 0, 0, 0, 0, 0, 0, 0, 0]\n",
+     2, "ket length 9 outside 1..8"),
+    (DECL_HEAD + "gas h from ket z+\nchamber c volume 1\n"
+     "fill c { g : -0.5, h : 1.5 } moles 1\n",
+     6, "fill fractions must be positive"),
+    (DECL_HEAD + "chamber c volume 1\nfill c { g : 1 } moles -1\n",
+     5, "fill moles must be positive"),
+    (DECL_HEAD + "gas h from ket z+\nchamber c volume 1\n"
+     "fill c { g : 0.5, h : 0.6 } moles 1\n",
+     6, "fill fractions must sum to 1, got 1.1"),
+]
+
+
 class TestDeclarationErrors:
     """Declarations run in source order, so the first bad one is reported
     at its own line."""
 
-    @pytest.mark.parametrize("source, line, message", [
-        (DECL_HEAD + "chamber c volume -1\nfill c { g : 1 } moles 1\n",
-         4, "volume must be positive and finite, got -1.0"),
-        (DECL_HEAD + "chamber c volume -1\nchamber d volume 1\n"
-         "fill d { g : 0.7 } moles 1\n",
-         4, "volume must be positive and finite, got -1.0"),
-        ("ket z+ = [1, 0]\ngas g from ket z+\nspace lab dim 2\n",
-         2, "gas 'g' is declared before the space"),
-        ("ket z+ = [1, 0]\nobserver o table { z+ -> z+ } dim 1\n"
-         "space lab dim 2\n",
-         2, "observer 'o' is declared before the space"),
-    ], ids=["chamber-then-fill", "before-a-later-fill", "gas", "observer"])
+    @pytest.mark.parametrize("source, line, message", DECLARATION_ERRORS, ids=[
+        "chamber-then-fill", "before-a-later-fill", "gas", "observer",
+        "space-dim", "gas-dim", "observer-lab-dim", "observer-ket-dim",
+        "ket-length", "fill-fraction-sign", "fill-moles", "fill-sum"])
     def test_first_bad_declaration_reported_at_its_line(self, source, line, message):
         with pytest.raises(ProtocolRuntimeError) as err:
             execute(parse(source))

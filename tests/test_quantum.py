@@ -178,6 +178,16 @@ class TestMeasure:
             for i, r in enumerate(results):
                 assert r.post_state.close_to(StatisticalMatrix.pure(u[:, i]), tol=1e-7)
 
+    def test_outcome_read_past_one_is_normalized_by_its_trace(self):
+        # complete within ORTHONORMAL_TOL, this effect reads a trace of
+        # 1 + 5e-11; dividing by the probability clamped to 1 failed the
+        # post state's trace check
+        povm = Povm((np.sqrt(1 + 5e-11) * np.diag([1, 0]), np.diag([0, 1.0])))
+        up, down = measure(povm, sm(np.diag([1.0, 0])))
+        assert up.probability == 1.0
+        assert np.trace(up.post_state.matrix) == pytest.approx(1.0, abs=1e-15)
+        assert down.post_state is None
+
 
 class TestOrthogonality:
     def test_distinguishable(self):

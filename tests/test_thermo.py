@@ -298,11 +298,12 @@ class TestRotate:
             rotate(lab, "c", rotation_unitary([(E2[0], E2[0]), (E2[1], E2[0])], 2), 2)
 
     def test_nearly_unitary_rotation_fails_on_the_trace(self):
-        # kets orthonormal within ORTHONORMAL_TOL give a unitary that
-        # passes its own check but moves the trace by ~1e-10: the rotated
-        # state, which skips the eigensolver check, still fails on it
-        u = rotation_unitary([([0.6, 0.8], E2[0]),
-                              ([0.8, -0.6000000001], E2[1])], 2)
+        # a matrix unitary within ORTHONORMAL_TOL passes rotate's check but
+        # moves the trace by ~1e-10: the rotated state, which skips the
+        # eigensolver check, still fails on it (rotation_unitary snaps such
+        # a matrix to the nearest unitary, so it is passed here unsnapped)
+        b = np.array([0.8, -0.6000000001])
+        u = np.array([[0.6, 0.8], b / np.linalg.norm(b)])
         lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
         with pytest.raises(StateError, match="trace must be 1"):
             rotate(lab, "c", u, 2)
