@@ -153,6 +153,19 @@ def check_orthonormal(columns: np.ndarray, error: type[Exception],
         raise error(message)
 
 
+def isometry(columns: np.ndarray, error: type[Exception],
+             message: str) -> np.ndarray:
+    """The columns, checked by check_orthonormal, replaced by their polar
+    factor: the nearest matrix with exactly orthonormal columns, frozen.
+    Columns orthonormal only within ORTHONORMAL_TOL can move a probability
+    or a trace past TRACE_TOL; their polar factor moves it by round-off."""
+    check_orthonormal(columns, error, message)
+    w, _, vh = np.linalg.svd(columns, full_matrices=False)
+    out = w @ vh
+    out.flags.writeable = False
+    return out
+
+
 def projector(ket) -> np.ndarray:
     """Rank-one projector |k><k| onto a (normalized) ket."""
     k = as_ket(ket)

@@ -80,17 +80,14 @@ def build_observer(table, obs_dim: int, name: str = "observer") -> Observer:
             v += np.outer(obs, lab.conj())
         isometries.append(v)
     # sum_k V_k^dag V_k = I: the stacked isometries have orthonormal columns
-    stacked = np.vstack(isometries)
-    linalg.check_orthonormal(stacked, BasisError, "channel is not trace preserving")
-    # within ORTHONORMAL_TOL, which can move a coarse-grained trace past
-    # TRACE_TOL: keep the polar factor, the nearest exact isometry
-    w, _, vh = np.linalg.svd(stacked, full_matrices=False)
+    stacked = linalg.isometry(np.vstack(isometries), BasisError,
+                              "channel is not trace preserving")
 
     return Observer(
         name=name,
         obs_dim=obs_dim,
         lab_dim=lab_dim,
-        sector_isometries=tuple(np.split(w @ vh, len(sectors))),
+        sector_isometries=tuple(np.split(stacked, len(sectors))),
     )
 
 

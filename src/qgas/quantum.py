@@ -16,8 +16,9 @@ a convex mix (``thermo.aggregate_state``), an eigenprojector
 Those five build their states with the private
 ``StatisticalMatrix._derived``.  It stores the same exactly Hermitian
 matrix, runs no eigensolver and checks only the trace, which guards the
-five formulas: the unitaries and observer sectors they apply are made
-exact once built, and ``measure`` normalizes by the trace it reads.
+five formulas: the POVM effects, unitaries and observer sectors they
+apply are made exact once built (``linalg.isometry``), and ``measure``
+normalizes by the trace it reads.
 """
 
 from __future__ import annotations
@@ -28,12 +29,6 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, PovmError, StateError, WeightError
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.flags.writeable = False
-    return out
 
 
 def _check_trace(tr: float) -> None:
@@ -102,7 +97,9 @@ class Povm:
 
     Each effect is the operator A whose outcome update is rho -> A rho A^dag;
     construction checks that all effects share one dimension and satisfy
-    sum A^dag A = identity within linalg.ORTHONORMAL_TOL entrywise.
+    sum A^dag A = identity within linalg.ORTHONORMAL_TOL entrywise, then
+    keeps the polar factor of the effects it checked, for which the sum is
+    the identity to round-off.
     """
 
     effects: tuple[np.ndarray, ...]
@@ -117,12 +114,12 @@ class Povm:
             if a.shape[0] != dim:
                 raise DimensionError("POVM effects must share one dimension")
         # sum A^dag A = I: the stacked effects have orthonormal columns
-        linalg.check_orthonormal(np.vstack(effects), PovmError,
-                                 "effects do not resolve the identity")
+        stacked = linalg.isometry(np.vstack(effects), PovmError,
+                                  "effects do not resolve the identity")
         labels = self.outcome_labels or tuple(str(i) for i in range(len(effects)))
         if len(labels) != len(effects):
             raise PovmError("need one outcome label per effect")
-        object.__setattr__(self, "effects", tuple(_frozen(a) for a in effects))
+        object.__setattr__(self, "effects", tuple(np.split(stacked, len(effects))))
         object.__setattr__(self, "outcome_labels", tuple(labels))
 
     @property
@@ -164,7 +161,7 @@ def measure(povm: Povm, rho: StatisticalMatrix) -> list[OutcomeResult]:
     for a, label in zip(povm.effects, povm.outcome_labels):
         raw = linalg.conjugate(a, rho.matrix)
         tr = float(np.real(np.trace(raw)))
-        p = min(max(tr, 0.0), 1.0)  # tr may pass 1 by ORTHONORMAL_TOL
+        p = min(max(tr, 0.0), 1.0)  # tr may pass 1 by round-off
         if p < linalg.ZERO_PROB:
             results.append(OutcomeResult(p, None))
         else:
@@ -183,7 +180,8 @@ def are_orthogonal(a: StatisticalMatrix, b: StatisticalMatrix) -> bool:
 
 
 def optimal_separation_povm(components) -> Povm:
-    """Best separating membranes for a weighted mixture of gas states.
+    """Best separating membranes for a weighted mixture of gas states, given
+    as (weight, StatisticalMatrix) pairs.
 
     Forms the aggregate state sum_i w_i rho_i and returns the projective POVM
     onto its eigenbasis, one rank-one projector per eigenvector, ordered by
@@ -197,14 +195,10 @@ def optimal_separation_povm(components) -> Povm:
         raise WeightError(f"weights must be positive, got {weights}")
     if not abs(sum(weights) - 1.0) <= linalg.WEIGHT_SUM_TOL:
         raise WeightError(f"weights must sum to 1, got {sum(weights):.12g}")
-    mats = []
-    for _, s in components:
-        mats.append(s.matrix if isinstance(s, StatisticalMatrix) else linalg.as_matrix(s))
-    dim = mats[0].shape[0]
-    for m in mats[1:]:
-        if m.shape[0] != dim:
-            raise DimensionError("mixture components must share one dimension")
-    aggregate = sum(w * m for w, m in zip(weights, mats))
+    dim = components[0][1].dim
+    if any(s.dim != dim for _, s in components):
+        raise DimensionError("mixture components must share one dimension")
+    aggregate = sum(w * s.matrix for w, (_, s) in zip(weights, components))
     _, vecs = linalg.hermitian_eig(aggregate)
     kets = [vecs[:, i] for i in range(dim)]
     return Povm.projective(kets, labels=tuple(f"eig{i}" for i in range(dim)))

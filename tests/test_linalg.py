@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +270,92 @@ def test_hermitian_eig_rejects_a_hermitian_part_that_overflows():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflow"):
             linalg.hermitian_eig([[1e308, 0], [0, 1e308]])
+
+
+def _nearly_orthonormal(rng, rows, cols):
+    """Orthonormal columns plus complex noise scaled so that
+    max|C^dagger C - I| reads about 0.9 ORTHONORMAL_TOL, and the exact
+    columns they came from."""
+    exact = random_unitary(rng, rows)[:, :cols]
+    noise = rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape)
+    first_order = np.max(np.abs(exact.conj().T @ noise + noise.conj().T @ exact))
+    return exact + (0.9 * linalg.ORTHONORMAL_TOL / first_order) * noise, exact
+
+
+class GapError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("rows_per_col", [1, 2, 8])
+def test_isometry_snaps_nearly_orthonormal_columns(rng, dim, rows_per_col):
+    for _ in range(10):
+        columns, _ = _nearly_orthonormal(rng, rows_per_col * dim, dim)
+        gap = np.max(np.abs(columns.conj().T @ columns - np.eye(dim)))
+        assert 0.5 * linalg.ORTHONORMAL_TOL < gap <= linalg.ORTHONORMAL_TOL
+        w = linalg.isometry(columns, GapError, "gap")
+        assert w.shape == columns.shape
+        assert np.max(np.abs(w.conj().T @ w - np.eye(dim))) <= 1e-14
+        # the nearest exact isometry: |w - c| <= max |1 - s| over the
+        # singular values s of c, at most |c^dag c - I|_2 <= dim * gap
+        assert np.max(np.abs(w - columns)) <= dim * gap
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_isometry_moves_exact_columns_by_round_off(rng, dim):
+    assert np.array_equal(linalg.isometry(np.eye(dim), GapError, "gap"), np.eye(dim))
+    swap = np.eye(dim)[::-1]
+    assert np.array_equal(linalg.isometry(swap, GapError, "gap"), swap)
+    for _ in range(10):
+        _, exact = _nearly_orthonormal(rng, 2 * dim, dim)
+        moved = linalg.isometry(exact, GapError, "gap")
+        assert np.max(np.abs(moved - exact)) <= 1e-15
+
+
+def test_isometry_result_is_frozen():
+    w = linalg.isometry(np.eye(2), GapError, "gap")
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 2
+
+
+def test_isometry_rejects_a_gap_past_the_tolerance():
+    columns = np.diag([1.0, 1.0 + 3 * linalg.ORTHONORMAL_TOL])
+    with pytest.raises(GapError, match="^columns drift$"):
+        linalg.isometry(columns, GapError, "columns drift")
+
+
+@pytest.mark.parametrize("columns", [
+    [[math.nan, 0], [0, 1]],
+    [[1e200, 0], [0, 1]],
+    [[1e200, 1e200], [1e200, -1e200]],
+])
+def test_isometry_rejects_non_finite_and_overflowing_entries(columns):
+    # the check runs before the SVD, so none of them warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GapError):
+            linalg.isometry(np.array(columns, dtype=complex), GapError, "gap")
+
+
+def _svd_lines(tree) -> list[int]:
+    """Line of each name, attribute or import of ``svd`` in a syntax tree."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "svd"
+            or isinstance(node, ast.Attribute) and node.attr == "svd"
+            or isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(alias.name.split(".")[-1] == "svd" for alias in node.names)]
+
+
+def test_only_linalg_isometry_names_svd():
+    """The polar factor lives in one place: every operator made exact once
+    built goes through linalg.isometry."""
+    offenders = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {line for node in tree.body
+                   if path.name == "linalg.py" and isinstance(node, ast.FunctionDef)
+                   and node.name == "isometry" for line in _svd_lines(node)}
+        offenders += [f"{path.name}:{line}" for line in _svd_lines(tree)
+                      if line not in allowed]
+    assert not offenders, "svd outside linalg.isometry: " + ", ".join(offenders)

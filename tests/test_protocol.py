@@ -537,6 +537,16 @@ class TestExecute:
             "checkpoint start\naudit v from start\n"))
         assert [v.classification for v in result.verdicts] == ["consistent"]
 
+    def test_nearly_orthonormal_povm_separates(self):
+        # the effects used to sum to 1 - 7.7e-11 on z+, losing that much gas
+        result = execute(parse(
+            self.NEARLY_ORTHONORMAL + "gas g from ket z+\nchamber c volume 1.0\n"
+            "fill c { g : 1.0 } moles 1.0\nseparate c by povm { a, b } into l r\n"))
+        chambers = result.final_state.chambers
+        assert set(chambers) == {"l", "r"}
+        assert abs(sum(c.moles for c in chambers.values()) - 1.0) <= 1e-15
+        assert abs(sum(c.volume for c in chambers.values()) - 1.0) <= 1e-15
+
     def test_demo_sources_are_stable(self):
         assert protocol.demo_source("peres-tatiana") == protocol.demo_source(
             "peres-tatiana"
