@@ -113,8 +113,9 @@ def trace_product(a, b) -> complex:
 
 
 def hermitian_part(m) -> np.ndarray:
-    """(m + m^dagger) / 2: exactly Hermitian, whatever round-off m carries."""
-    return (m + m.conj().T) / 2.0
+    """(m + m^dagger) / 2: exactly Hermitian, whatever round-off m carries.
+    On a stack of matrices, the Hermitian part of each."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def as_hermitian(m, message: str) -> np.ndarray:
@@ -135,9 +136,8 @@ def as_hermitian(m, message: str) -> np.ndarray:
 
 def conjugate(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """The unnormalized outcome update a rho a^dagger of two matrices already
-    checked by as_matrix.  Its round-off leaves it Hermitian only nearly; a
-    state built from it goes through StatisticalMatrix._derived, which takes
-    the exactly Hermitian part."""
+    checked by as_matrix.  Its round-off leaves it Hermitian only nearly;
+    quantum's stacked outcome update gives the same bits for each pair."""
     _same_dim(a, rho)
     return a @ rho @ a.conj().T
 

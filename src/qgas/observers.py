@@ -104,7 +104,7 @@ def coarse_grain(obs: Observer, rho: StatisticalMatrix) -> StatisticalMatrix:
             f"state dim {rho.dim} does not match lab dim {obs.lab_dim}"
         )
     out = sum(v @ rho.matrix @ v.conj().T for v in obs.sector_isometries)
-    return StatisticalMatrix._derived(out, rho.label)
+    return StatisticalMatrix._derived(out[None], [rho.label])[0]
 
 
 def lift_through(obs: Observer, povm: Povm) -> Povm:

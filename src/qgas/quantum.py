@@ -14,11 +14,15 @@ an outcome update (``measure``), a unitary conjugation (``thermo.rotate``),
 a convex mix (``thermo.aggregate_state``), an eigenprojector
 (``thermo.eigen_mixture``) and a coarse-graining (``observers.coarse_grain``).
 Those five build their states with the private
-``StatisticalMatrix._derived``.  It stores the same exactly Hermitian
-matrix, runs no eigensolver and checks only the trace, which guards the
-five formulas: the POVM effects, unitaries and observer sectors they
-apply are made exact once built (``linalg.isometry``), and ``measure``
-normalizes by the trace it reads.
+``StatisticalMatrix._derived``, which takes a stack of matrices.  It
+stores the same exactly Hermitian matrices, runs no eigensolver and checks
+only their traces, which guard the five formulas: the POVM effects,
+unitaries and observer sectors they apply are made exact once built
+(``linalg.isometry``), and outcome updates normalize by the traces they
+read.  Outcome updates have one rule, the private ``_updates``: every
+effect of a POVM applied to a stack of states in one stacked product,
+each entry bit for bit the single-matrix A rho A^dag.  ``_outcomes``
+normalizes them into post states, and ``measure`` is its one-state call.
 """
 
 from __future__ import annotations
@@ -58,19 +62,24 @@ class StatisticalMatrix:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _derived(cls, m: np.ndarray,
-                 label: str | None = None) -> "StatisticalMatrix":
-        """The state of a complex matrix derived from checked states by one
-        of the five operations named in the module docstring: the matrix
-        __post_init__ would store, frozen, with the trace checked but no
-        eigensolver run."""
-        h = linalg.hermitian_part(m)
-        _check_trace(float(h.trace().real))
+    def _derived(cls, stack: np.ndarray,
+                 labels=None) -> list["StatisticalMatrix"]:
+        """The states of an (n, d, d) stack of complex matrices derived from
+        checked states by one of the five operations named in the module
+        docstring, labelled by ``labels`` (default none): the matrices
+        __post_init__ would store, frozen, with every trace checked (the
+        first failing one is reported) but no eigensolver run."""
+        h = linalg.hermitian_part(stack)
+        for tr in h.trace(axis1=-2, axis2=-1).real.tolist():
+            _check_trace(tr)
         h.flags.writeable = False
-        self = object.__new__(cls)
-        object.__setattr__(self, "matrix", h)
-        object.__setattr__(self, "label", label)
-        return self
+        states = []
+        for m, label in zip(h, labels or (None,) * len(h)):
+            self = object.__new__(cls)
+            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "label", label)
+            states.append(self)
+        return states
 
     @property
     def dim(self) -> int:
@@ -99,11 +108,13 @@ class Povm:
     construction checks that all effects share one dimension and satisfy
     sum A^dag A = identity within linalg.ORTHONORMAL_TOL entrywise, then
     keeps the polar factor of the effects it checked, for which the sum is
-    the identity to round-off.
+    the identity to round-off, as one read-only (k, d, d) stack whose
+    slices are the effects.
     """
 
     effects: tuple[np.ndarray, ...]
     outcome_labels: tuple[str, ...] = field(default=())
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         effects = tuple(linalg.as_matrix(a) for a in self.effects)
@@ -119,7 +130,9 @@ class Povm:
         labels = self.outcome_labels or tuple(str(i) for i in range(len(effects)))
         if len(labels) != len(effects):
             raise PovmError("need one outcome label per effect")
-        object.__setattr__(self, "effects", tuple(np.split(stacked, len(effects))))
+        stack = stacked.reshape(len(effects), dim, dim)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "effects", tuple(stack))
         object.__setattr__(self, "outcome_labels", tuple(labels))
 
     @property
@@ -148,6 +161,34 @@ class OutcomeResult:
     post_state: StatisticalMatrix | None
 
 
+def _updates(povm: Povm, states) -> tuple[np.ndarray, np.ndarray]:
+    """A_i rho_j A_i^dag for every effect A_i of the POVM and each of a
+    non-empty sequence of states rho_j, in one stacked product: a (states,
+    effects, d, d) stack, and its traces as a (states, effects) array."""
+    for rho in states:
+        if rho.dim != povm.dim:
+            raise DimensionError(f"povm dim {povm.dim} vs state dim {rho.dim}")
+    e = povm._stack
+    raw = e @ np.array([rho.matrix for rho in states])[:, None] \
+        @ e.conj().swapaxes(-1, -2)
+    return raw, raw.trace(axis1=-2, axis2=-1).real
+
+
+def _outcomes(povm: Povm, states) -> list[list[OutcomeResult]]:
+    """Per state of a non-empty sequence, the OutcomeResult of each effect
+    of the POVM, as ``measure`` describes it; post-state traces are
+    checked in that order."""
+    raw, traces = _updates(povm, states)
+    kept = traces >= linalg.ZERO_PROB
+    posts = iter(StatisticalMatrix._derived(
+        raw[kept] / traces[kept][:, None, None],
+        [povm.outcome_labels[i] for i in kept.nonzero()[1].tolist()]))
+    # tr may pass 1 by round-off
+    return [[OutcomeResult(min(max(tr, 0.0), 1.0), next(posts) if keep else None)
+             for tr, keep in zip(row, keep_row)]
+            for row, keep_row in zip(traces.tolist(), kept.tolist())]
+
+
 def measure(povm: Povm, rho: StatisticalMatrix) -> list[OutcomeResult]:
     """Apply every effect of the POVM to rho.
 
@@ -155,20 +196,7 @@ def measure(povm: Povm, rho: StatisticalMatrix) -> list[OutcomeResult]:
     post state; outcomes with probability below 1e-12 carry no post state
     (there is nothing left to normalize).
     """
-    if povm.dim != rho.dim:
-        raise DimensionError(f"povm dim {povm.dim} vs state dim {rho.dim}")
-    results = []
-    for a, label in zip(povm.effects, povm.outcome_labels):
-        raw = linalg.conjugate(a, rho.matrix)
-        tr = float(np.real(np.trace(raw)))
-        p = min(max(tr, 0.0), 1.0)  # tr may pass 1 by round-off
-        if p < linalg.ZERO_PROB:
-            results.append(OutcomeResult(p, None))
-        else:
-            results.append(
-                OutcomeResult(p, StatisticalMatrix._derived(raw / tr, label))
-            )
-    return results
+    return _outcomes(povm, [rho])[0]
 
 
 def are_orthogonal(a: StatisticalMatrix, b: StatisticalMatrix) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     UnknownChamberError,
     UnknownCheckpointError,
 )
-from .quantum import Povm, StatisticalMatrix, measure
+from .quantum import Povm, StatisticalMatrix, _outcomes, _updates
 
 R = 1.0
 
@@ -199,15 +199,17 @@ def aggregate_state(chamber: Chamber) -> StatisticalMatrix:
         raise EmptyChamberError(f"chamber {chamber.name!r} holds no gas")
     n = chamber.moles
     m = sum((c.moles / n) * c.state.matrix for c in chamber.contents)
-    return StatisticalMatrix._derived(m)
+    return StatisticalMatrix._derived(m[None])[0]
 
 
 def eigen_mixture(state: StatisticalMatrix) -> list[tuple[float, StatisticalMatrix]]:
     """The state as (weight, eigenprojector) pairs in descending weight,
     weights up to linalg.PRUNE_TOL dropped."""
     w, v = linalg.hermitian_eig(state.matrix)
-    return [(float(w[i]), StatisticalMatrix._derived(linalg.projector(v[:, i])))
-            for i in range(len(w)) if w[i] > linalg.PRUNE_TOL]
+    kept = [i for i in range(len(w)) if w[i] > linalg.PRUNE_TOL]
+    states = StatisticalMatrix._derived(
+        np.array([linalg.projector(v[:, i]) for i in kept]))
+    return [(float(w[i]), s) for i, s in zip(kept, states)]
 
 
 def canonical_contents(chamber: Chamber) -> list[tuple[float, StatisticalMatrix]]:
@@ -216,16 +218,25 @@ def canonical_contents(chamber: Chamber) -> list[tuple[float, StatisticalMatrix]
 
 
 def _merge(components) -> tuple[GasComponent, ...]:
-    """Canonically merge components whose states coincide entrywise."""
+    """Canonically merge components whose states coincide entrywise: each
+    joins the first slot whose first state is within SAME_STATE_TOL of its
+    own.  Components of mixed dimensions are left for Chamber to reject."""
+    if len(components) < 2 or len({c.state.dim for c in components}) > 1:
+        return tuple(components)
+    m = np.array([c.state.matrix for c in components]).reshape(len(components), -1)
+    # max |m_i - m_j| of all pairs, in row blocks of about a megabyte
+    rows = max(1, 2**16 // m.size)
+    gap = [row for i in range(0, len(m), rows)
+           for row in np.abs(m[i:i + rows, None] - m).max(-1).tolist()]
     merged: list[list] = []
-    for comp in components:
+    for j, comp in enumerate(components):
         for slot in merged:
-            if slot[0].close_to(comp.state):
+            if gap[slot[0]][j] <= linalg.SAME_STATE_TOL:
                 slot[1] += comp.moles
                 break
         else:
-            merged.append([comp.state, comp.moles])
-    return tuple(GasComponent(state, moles) for state, moles in merged)
+            merged.append([j, comp.moles])
+    return tuple(GasComponent(components[j].state, moles) for j, moles in merged)
 
 
 def _replace_chambers(lab: LabState, removed, added) -> LabState:
@@ -243,7 +254,7 @@ def _replace_chambers(lab: LabState, removed, added) -> LabState:
         elif added:
             out.update((new.name, new) for new in added)
             added = ()
-    return replace(lab, chambers=out)
+    return LabState(lab.temperature, out, lab.lab_dim)
 
 
 def _check_povm_dim(lab: LabState, povm: Povm) -> None:
@@ -279,7 +290,7 @@ def separate(lab: LabState, chamber: str, povm: Povm, names=None,
     new_chambers = []
     q = 0.0
     parts = []
-    outcomes = [measure(povm, comp.state) for comp in ch.contents]
+    outcomes = _outcomes(povm, [comp.state for comp in ch.contents])
     for i in range(len(povm)):
         collected = [
             GasComponent(res[i].post_state, comp.moles * res[i].probability)
@@ -318,10 +329,8 @@ def mix(lab: LabState, a: str, b: str, povm: Povm, name=None,
         raise DomainError("cannot mix a chamber with itself")
     cha, chb = lab.chamber(a), lab.chamber(b)
     _check_povm_dim(lab, povm)
-    agg_a, agg_b = aggregate_state(cha), aggregate_state(chb)
-    for effect, label in zip(povm.effects, povm.outcome_labels):
-        pa = float(np.real(np.trace(linalg.conjugate(effect, agg_a.matrix))))
-        pb = float(np.real(np.trace(linalg.conjugate(effect, agg_b.matrix))))
+    _, traces = _updates(povm, [aggregate_state(cha), aggregate_state(chb)])
+    for (pa, pb), label in zip(traces.T.tolist(), povm.outcome_labels):
         passes_a = pa >= 1.0 - tol and pb <= tol
         passes_b = pb >= 1.0 - tol and pa <= tol
         if not (passes_a or passes_b):
@@ -375,11 +384,11 @@ def rotate(lab: LabState, chamber: str, u: np.ndarray, mapped: int,
             f"rotation of shape {u.shape} does not act on lab dim {lab.lab_dim}"
         )
     linalg.check_orthonormal(u, UnitaryError, "rotation is not unitary")
-    contents = tuple(
-        GasComponent(StatisticalMatrix._derived(u @ c.state.matrix @ u.conj().T),
-                     c.moles)
-        for c in ch.contents
-    )
+    # an unfilled chamber stays unfilled; an empty list is no (0, d, d) stack
+    states = StatisticalMatrix._derived(
+        u @ np.array([c.state.matrix for c in ch.contents]) @ u.conj().T
+    ) if ch.contents else []
+    contents = tuple(GasComponent(s, c.moles) for s, c in zip(states, ch.contents))
     rotated = Chamber(ch.name, ch.volume, _merge(contents))
     new_lab = _replace_chambers(lab, [chamber], [rotated])
     desc = f"rotate {chamber} by a {mapped}-ket mapping"

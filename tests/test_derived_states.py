@@ -25,7 +25,13 @@ from util import (
 from qgas import linalg
 from qgas.errors import QgasError
 from qgas.observers import build_observer, coarse_grain
-from qgas.quantum import Povm, StatisticalMatrix, measure, optimal_separation_povm
+from qgas.quantum import (
+    Povm,
+    StatisticalMatrix,
+    _outcomes,
+    measure,
+    optimal_separation_povm,
+)
 from qgas.thermo import (
     Chamber,
     GasComponent,
@@ -232,3 +238,34 @@ def test_repeated_rotation_does_not_drift_the_trace(dim):
     for c in lab.chamber("c").contents:
         assert abs(np.trace(c.state.matrix).real - 1) <= linalg.TRACE_TOL
         recheck(c.state, f"dim {dim}, after 800 rotations")
+
+
+def hermitian(m):
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("dim", range(1, linalg.MAX_DIM + 1))
+def test_stacked_updates_equal_the_single_matrix_formulas(dim):
+    """Outcome updates and rotations act on a whole stack of states at
+    once; each entry must equal the one-matrix formula bit for bit, so a
+    change that moves one bit fails here, not only in the golden bytes."""
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        povm = random_povm(rng, dim, int(rng.integers(1, 9)))
+        states = [random_state(rng, dim) for _ in range(rng.integers(1, 9))]
+        # separate's call on all states at once, and measure's on one
+        for rho, stacked in zip(states, _outcomes(povm, states)):
+            for a, res, one in zip(povm.effects, stacked, measure(povm, rho)):
+                raw = a @ rho.matrix @ a.conj().T
+                tr = float(np.trace(raw).real)
+                for r in (res, one):
+                    assert r.probability == min(max(tr, 0.0), 1.0)
+                    assert np.array_equal(r.post_state.matrix, hermitian(raw / tr))
+        u = random_unitary(rng, dim)
+        parts = [GasComponent(s, 0.5) for s in states]
+        lab = LabState(1.0, {"c": Chamber("c", 1.0, parts)}, dim)
+        rotated = rotate(lab, "c", u, dim)[0].chamber("c").contents
+        assert len(rotated) == (1 if dim == 1 else len(states))
+        for c, rho in zip(rotated, states):
+            assert np.array_equal(c.state.matrix,
+                                  hermitian(u @ rho.matrix @ u.conj().T))

@@ -505,9 +505,19 @@ class TestExecute:
         ("fill c { g : 1 } moles 1\nseparate c by povm { z+, z- } into x y w",
          "need 2 outcome names, got 3"),
         ("separate c by povm { z+, z- } into x y", "chamber 'c' holds no gas"),
+        ("chamber d volume 1\nfill d { g : 1 } moles 1\n"
+         "mix c d into m by povm { z+, z- }", "chamber 'c' holds no gas"),
         ("fill c { g : 1 } moles 1\nket a = [1, 0, 0]\nket b = [0, 1, 0]\n"
          "rotate c map { a -> b }", "mapping kets must live in the lab space"),
-    ], ids=["outcome-names", "unfilled", "rotate-dim"])
+        # one effect passing both chambers of one gas with certainty: a mix
+        # by it would absorb ln 2 that no membrane could give back
+        ("ket one = [1]\nobserver blind table { z+ -> one, z- -> one } dim 1\n"
+         "chamber d volume 1\nfill c { g : 1 } moles 1\nfill d { g : 1 } moles 1\n"
+         "mix c d into m by povm lift blind { one }",
+         "effect 'one' passes 'c' with p=1 and 'd' with p=1;"
+         " it distinguishes neither chamber with certainty"),
+    ], ids=["outcome-names", "unfilled", "unfilled-mix", "rotate-dim",
+            "blind-mix"])
     def test_bad_step_reported_at_its_line(self, step, message):
         source = DECL_HEAD + "ket z- = [0, 1]\nchamber c volume 1\n" + step + "\n"
         line = source.count("\n")
@@ -515,6 +525,17 @@ class TestExecute:
             execute(parse(source))
         assert (err.value.step_index, err.value.line) == (0, line)
         assert str(err.value) == f"step 0 (line {line}): {message}"
+
+    @pytest.mark.parametrize("step, volumes", [
+        ("rotate e map { z+ -> z-, z- -> z+ }", {"e": 1.0}),
+        ("partition e at 0.5 into e0 e1", {"e0": 0.5, "e1": 0.5}),
+        ("chamber h volume 1\njoin e h into j", {"j": 2.0}),
+    ], ids=["rotate", "partition", "join"])
+    def test_steps_keep_an_unfilled_chamber_unfilled(self, step, volumes):
+        source = DECL_HEAD + "ket z- = [0, 1]\nchamber e volume 1\n" + step + "\n"
+        chambers = execute(parse(source)).final_state.chambers
+        assert {name: (ch.volume, ch.contents) for name, ch in chambers.items()} \
+            == {name: (volume, ()) for name, volume in volumes.items()}
 
     # kets orthonormal only within ORTHONORMAL_TOL: the rotation and the
     # observer channel built from them used to move a state's trace by ~1e-10

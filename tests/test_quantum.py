@@ -93,13 +93,13 @@ class TestDerived:
             m = c @ c.conj().T
             m = m / np.trace(m) + 1e-14j * rng.normal(size=(dim, dim))
             full = sm(m, label="g")
-            derived = StatisticalMatrix._derived(m, "g")
+            (derived,) = StatisticalMatrix._derived(m[None], ["g"])
             assert derived.matrix.tobytes() == full.matrix.tobytes()
             assert derived.label == "g" and not derived.matrix.flags.writeable
 
     def test_checks_the_trace(self):
         with pytest.raises(StateError, match="trace must be 1, got 2"):
-            StatisticalMatrix._derived(np.eye(2, dtype=complex))
+            StatisticalMatrix._derived(np.eye(2, dtype=complex)[None])
 
 
 class TestPovm:

@@ -397,6 +397,13 @@ class TestPartitionJoin:
             assert ch.moles == pytest.approx(0.5, abs=1e-12)
             assert ch.contents[0].state.close_to(StatisticalMatrix(Z_PLUS))
 
+    def test_join_of_mixed_dimensions_rejected(self):
+        lab = lab_with(chamber("a", 1.0, [(Z_PLUS, 1.0)]),
+                       chamber("b", 1.0, [(np.eye(3) / 3, 1.0)]))
+        with pytest.raises(DimensionError) as err:
+            join(lab, "a", "b", name="d")
+        assert str(err.value) == "components of 'd' mix dimensions {2, 3}"
+
     def test_partition_fraction_domain(self):
         lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
         for bad in (0.0, 1.0, -0.5, 2.0):
