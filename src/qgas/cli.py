@@ -134,6 +134,11 @@ def _render_records(result: protocol.ExecutionResult, observer_filter) -> str:
 FORMATS = {"table": _render_table, "records": _render_records}
 
 _FIELD_RE = re.compile(r'(\w+)=("(?:[^"\\]|\\.)*"|\S+)')
+#: every field the records writers emit -> the type parse_records returns;
+#: a field not named here stays text
+_FIELD_TYPES = {"step": int, "kind": str, "q": float, "w": float, "desc": str,
+                "observer": str, "from": str, "qTotal": float, "qOverT": float,
+                "cycleClosed": bool, "classification": str}
 
 
 def parse_records(text: str) -> list[dict]:
@@ -151,14 +156,8 @@ def parse_records(text: str) -> list[dict]:
             key, value = m.group(1), m.group(2)
             if value.startswith('"'):
                 value = _unescape(value[1:-1])
-            fields[key] = value
-        for key in ("q", "w", "qTotal", "qOverT"):
-            if key in fields:
-                fields[key] = float(fields[key])
-        if "step" in fields:
-            fields["step"] = int(fields["step"])
-        if "cycleClosed" in fields:
-            fields["cycleClosed"] = fields["cycleClosed"] == "true"
+            to = _FIELD_TYPES.get(key, str)
+            fields[key] = value == "true" if to is bool else to(value)
         out.append(fields)
     return out
 

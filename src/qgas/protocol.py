@@ -758,8 +758,13 @@ def parse(source: str) -> ProtocolAst:
     names = {kind: set() for kind in
              "ket gas observer chamber checkpoint filled space temp".split()}
 
+    # a line's tokens depend only on its text, and a line that fails to
+    # tokenize raises on its first copy, so repeated lines share one list
+    token_lists: dict[str, list[_Token]] = {}
     for lineno, raw in enumerate(source.split("\n"), start=1):
-        tokens = _tokenize(raw, lineno)
+        tokens = token_lists.get(raw)
+        if tokens is None:
+            tokens = token_lists[raw] = _tokenize(raw, lineno)
         if tokens[0].kind == "end":
             continue
         cur = _Cursor(tokens, lineno, names)

@@ -15,6 +15,7 @@ chamber a coarse observer calls "pure" is in fact a mixture.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -197,6 +198,10 @@ def aggregate_state(chamber: Chamber) -> StatisticalMatrix:
     """Mole-weighted mean state of everything in the chamber."""
     if not chamber.contents:
         raise EmptyChamberError(f"chamber {chamber.name!r} holds no gas")
+    if len(chamber.contents) == 1:
+        # the formula's matrix: n / n is exactly 1 and the state is already
+        # exactly Hermitian with its trace checked
+        return chamber.contents[0].state
     n = chamber.moles
     m = sum((c.moles / n) * c.state.matrix for c in chamber.contents)
     return StatisticalMatrix._derived(m[None])[0]
@@ -207,8 +212,10 @@ def eigen_mixture(state: StatisticalMatrix) -> list[tuple[float, StatisticalMatr
     weights up to linalg.PRUNE_TOL dropped."""
     w, v = linalg.hermitian_eig(state.matrix)
     kept = [i for i in range(len(w)) if w[i] > linalg.PRUNE_TOL]
-    states = StatisticalMatrix._derived(
-        np.array([linalg.projector(v[:, i]) for i in kept]))
+    k = v[:, kept].T
+    if not np.all(np.abs(np.linalg.norm(k, axis=1) - 1.0) <= linalg.TRACE_TOL):
+        raise DomainError("ket normalization failed")
+    states = StatisticalMatrix._derived(k[:, :, None] * k.conj()[:, None, :])
     return [(float(w[i]), s) for i, s in zip(kept, states)]
 
 
@@ -373,6 +380,14 @@ def rotation_unitary(mapping, dim: int) -> np.ndarray:
                            "mapping does not extend to a unitary")
 
 
+@functools.lru_cache(maxsize=16)
+def _check_unitary(shape: tuple, dtype: str, data: bytes) -> None:
+    """check_orthonormal of one rotation matrix, given as its shape, dtype
+    and bytes; a raised UnitaryError is not cached."""
+    u = np.frombuffer(data, dtype).reshape(shape)
+    linalg.check_orthonormal(u, UnitaryError, "rotation is not unitary")
+
+
 def rotate(lab: LabState, chamber: str, u: np.ndarray, mapped: int,
            step_index: int = 0) -> tuple[LabState, LedgerEvent]:
     """Apply the unitary u, built by rotation_unitary from a mapping of
@@ -383,7 +398,10 @@ def rotate(lab: LabState, chamber: str, u: np.ndarray, mapped: int,
         raise DimensionError(
             f"rotation of shape {u.shape} does not act on lab dim {lab.lab_dim}"
         )
-    linalg.check_orthonormal(u, UnitaryError, "rotation is not unitary")
+    if ch.contents and ch.contents[0].state.dim != lab.lab_dim:
+        raise DimensionError(f"chamber {chamber!r} holds dim"
+                             f" {ch.contents[0].state.dim} gas in lab dim {lab.lab_dim}")
+    _check_unitary(u.shape, u.dtype.str, u.tobytes())
     # an unfilled chamber stays unfilled; an empty list is no (0, d, d) stack
     states = StatisticalMatrix._derived(
         u @ np.array([c.state.matrix for c in ch.contents]) @ u.conj().T

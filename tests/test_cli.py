@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import LN2, SEPARATION_HEAT
-from qgas import protocol
+from qgas import cli, protocol
 from qgas.cli import (
     CliConfig,
     _cfmt,
@@ -81,6 +81,18 @@ class TestRecordsFormat:
         # 12 significant digits survive the text round trip
         mix = next(r for r in events if r["kind"] == "mix")
         assert mix["q"] == pytest.approx(LN2, rel=1e-11)
+
+    def test_every_emitted_field_is_typed(self):
+        seen = set()
+        for name in sorted(EXPECTED_DEMOS):
+            text = records(name)
+            for line, parsed in zip(text.splitlines(), parse_records(text)):
+                keys = [m.group(1) for m in cli._FIELD_RE.finditer(line)]
+                assert set(keys) <= set(cli._FIELD_TYPES), line
+                for key in keys:
+                    assert type(parsed[key]) is cli._FIELD_TYPES[key], (line, key)
+                seen.update(keys)
+        assert seen == set(cli._FIELD_TYPES)
 
     def test_byte_identical_across_invocations(self):
         for name in EXPECTED_DEMOS:

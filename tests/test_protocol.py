@@ -94,6 +94,36 @@ class TestParse:
         assert sep.povm == PovmRef(("a+", "a-"), lift="tatiana")
 
 
+class TestRepeatedLines:
+    # a repeated join and split of one cell, as in long generated scripts
+    CYCLE = "partition cell at 0.5 into s1 s2\njoin s1 s2 into cell\n"
+
+    def test_each_distinct_line_is_tokenized_once(self, monkeypatch):
+        texts = []
+
+        def counting(text, lineno):
+            texts.append(text)
+            return tokenize(text, lineno)
+
+        tokenize = protocol._tokenize
+        monkeypatch.setattr(protocol, "_tokenize", counting)
+        source = MINI.replace("checkpoint start\n", "checkpoint start\n"
+                              + 3 * self.CYCLE + "\n\n")
+        ast = parse(source)
+        assert len(ast.steps) == 8
+        assert len(texts) == len(set(texts)) == len(set(source.split("\n")))
+
+    def test_name_error_on_a_repeated_line_reports_its_own_line(self):
+        source = MINI.replace("checkpoint start\n", "checkpoint start\n"
+                              + self.CYCLE + "join s1 s2 into cell\n")
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        lines = source.split("\n")
+        first = lines.index("join s1 s2 into cell") + 1
+        assert str(err.value) == (f"line {first + 1}, column 6: undeclared chamber"
+                                  f" 's1' (at 's1')")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", protocol.DEMO_NAMES)
     def test_demo_round_trip(self, name):

@@ -23,7 +23,7 @@ from util import (
     random_unitary,
     skewed_ket,
 )
-from qgas import thermo
+from qgas import linalg, thermo
 from qgas.errors import (
     DimensionError,
     DomainError,
@@ -41,7 +41,9 @@ from qgas.thermo import (
     LabState,
     Ledger,
     LedgerEvent,
+    aggregate_state,
     canonical_contents,
+    eigen_mixture,
     isothermal_work,
     join,
     mix,
@@ -358,6 +360,36 @@ class TestRotate:
         with pytest.raises(DimensionError):
             rotate(lab, "c", np.eye(4, dtype=complex), 2)
 
+    def test_chamber_of_another_dimension_rejected(self):
+        ch = Chamber("c", 1.0, [GasComponent(StatisticalMatrix(np.eye(3) / 3), 1.0)])
+        with pytest.raises(DimensionError, match="holds dim 3 gas in lab dim 2"):
+            rotate(LabState(1.0, {"c": ch}, 2), "c", np.eye(2), 2)
+
+    def test_non_unitary_matrix_rejected_on_every_call(self):
+        lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
+        shear = np.array([[1, 0.5], [0, 1]], dtype=complex)
+        for _ in range(2):
+            with pytest.raises(UnitaryError, match="rotation is not unitary"):
+                rotate(lab, "c", shear, 2)
+
+    def test_each_distinct_unitary_checked_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting(columns, error, message):
+            calls.append(message)
+            return check(columns, error, message)
+
+        check = linalg.check_orthonormal
+        monkeypatch.setattr(linalg, "check_orthonormal", counting)
+        thermo._check_unitary.cache_clear()
+        lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
+        u = random_unitary(rng, 2)
+        for _ in range(5):
+            lab, _ = rotate(lab, "c", u, 2)
+        assert len(calls) == 1
+        lab, _ = rotate(lab, "c", random_unitary(rng, 2), 2)
+        assert len(calls) == 2
+
     def test_built_unitary_is_read_only(self):
         u = rotation_unitary([(E2[0], E2[1])], 2)
         with pytest.raises(ValueError):
@@ -483,6 +515,37 @@ class TestCanonicalContents:
     def test_empty_chamber_rejected(self):
         with pytest.raises(EmptyChamberError):
             canonical_contents(Chamber("c", 1.0, ()))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_one_component_aggregate_is_the_formula(rng, dim):
+    n = 0.37
+    public = random_state(rng, dim)
+    lab = lab_with(Chamber("c", 1.0, (GasComponent(public, n),)), dim=dim)
+    rotated, _ = rotate(lab, "c", random_unitary(rng, dim), dim)
+    derived = rotated.chambers["c"].contents[0].state
+    for state in (public, derived):
+        agg = aggregate_state(Chamber("c", 1.0, (GasComponent(state, n),)))
+        assert np.array_equal(agg.matrix, linalg.hermitian_part((n / n) * state.matrix))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_eigen_mixture_states_are_the_eigenprojectors(rng, dim):
+    state = random_state(rng, dim)
+    w, v = linalg.hermitian_eig(state.matrix)
+    mixture = eigen_mixture(state)
+    assert [weight for weight, _ in mixture] == w[w > linalg.PRUNE_TOL].tolist()
+    for i, (_, s) in enumerate(mixture):
+        np.testing.assert_allclose(s.matrix, linalg.projector(v[:, i]),
+                                   rtol=0, atol=1e-15)
+
+
+def test_eigen_mixture_rejects_eigenvectors_off_unit_norm(monkeypatch):
+    eig = linalg.hermitian_eig
+    monkeypatch.setattr(linalg, "hermitian_eig",
+                        lambda m: (eig(m)[0], (1 + 1e-11) * eig(m)[1]))
+    with pytest.raises(DomainError, match="ket normalization failed"):
+        eigen_mixture(StatisticalMatrix(Z_PLUS))
 
 
 class TestConservationAndReversibility:
