@@ -27,7 +27,8 @@ x_plus = StatisticalMatrix(np.ones((2, 2)) / 2, label="x+")
 print("tr(z+ x+) != 0, the gases overlap:", not are_orthogonal(z_plus, x_plus))
 
 # the aggregate half/half mixture and its eigenbasis membranes
-povm = optimal_separation_povm([(0.5, z_plus), (0.5, x_plus)])
+aggregate = StatisticalMatrix((z_plus.matrix + x_plus.matrix) / 2)
+povm = optimal_separation_povm(aggregate)
 print("\nbest membranes (projectors):")
 for label, effect in zip(povm.outcome_labels, povm.effects):
     print(f"  {label}:")

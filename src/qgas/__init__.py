@@ -27,7 +27,6 @@ from .errors import (
     UnitaryError,
     UnknownChamberError,
     UnknownCheckpointError,
-    WeightError,
 )
 from .linalg import conjugate, hermitian_eig, trace_product
 from .observers import (
@@ -112,7 +111,6 @@ __all__ = [
     "UnknownChamberError",
     "UnknownCheckpointError",
     "Verdict",
-    "WeightError",
     "are_orthogonal",
     "audit",
     "build_observer",

@@ -25,10 +25,6 @@ class PovmError(QgasError):
     """A set of effects does not satisfy the completeness relation."""
 
 
-class WeightError(QgasError):
-    """Mixture weights are non-positive or do not sum to one."""
-
-
 class EmbeddingError(QgasError):
     """An observer sector does not realize the whole observer space, so
     observer-space membranes cannot be lifted to the lab."""

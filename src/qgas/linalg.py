@@ -33,7 +33,6 @@ KET_RESCALE_BELOW = math.sqrt(np.finfo(float).tiny)
 # as decimals: thirds written to ten digits fall 1e-10 short of one.
 ORTHONORMAL_TOL = 1e-10  # entrywise |C^dagger C - I|; ket overlaps
 OVERLAP_TOL = 1e-10  # |tr(a b)| of states told apart with certainty
-WEIGHT_SUM_TOL = 1e-10  # |sum w - 1| of a separated mixture's weights
 FILL_SUM_TOL = 1e-9  # |sum f - 1| of a fill's typed fractions
 
 # Pruning: amounts at the state checks' round-off scale are noise, not gas.
@@ -245,3 +244,15 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(a)
     w, v = w[::-1].copy(), v[:, ::-1]
     return w, _canonicalize(w, v)
+
+
+def eigenprojectors(m) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eig's eigenvalues of m and the (d, d, d) stack of the
+    rank-one projectors |v_i><v_i| onto its eigenvectors, in that order.
+    Raises DomainError unless every eigenvector has unit norm within
+    TRACE_TOL."""
+    w, v = hermitian_eig(m)
+    k = v.T
+    if not np.all(np.abs(np.linalg.norm(k, axis=1) - 1.0) <= TRACE_TOL):
+        raise DomainError("ket normalization failed")
+    return w, k[:, :, None] * k.conj()[:, None, :]

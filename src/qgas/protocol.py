@@ -67,6 +67,7 @@ from .thermo import (
     GasComponent,
     LabState,
     Ledger,
+    # not called here: bench/tracing.py wraps qgas.protocol.canonical_contents
     canonical_contents,
 )
 from . import linalg, thermo
@@ -600,7 +601,7 @@ class SeparateStep(_Node):
     def run(self, ctx: _Run, index: int):
         if self.povm is None:
             povm = optimal_separation_povm(
-                canonical_contents(ctx.lab.chamber(self.chamber)))
+                thermo.aggregate_state(ctx.lab.chamber(self.chamber)))
         else:
             povm = self.povm.resolve(ctx)
         ctx.advance(*thermo.separate(ctx.lab, self.chamber, povm,

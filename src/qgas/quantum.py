@@ -23,6 +23,11 @@ read.  Outcome updates have one rule, the private ``_updates``: every
 effect of a POVM applied to a stack of states in one stacked product,
 each entry bit for bit the single-matrix A rho A^dag.  ``_outcomes``
 normalizes them into post states, and ``measure`` is its one-state call.
+
+The best separating membranes (``optimal_separation_povm``) are a function
+of a chamber's aggregate state alone: the projectors of
+``linalg.eigenprojectors`` onto its eigenbasis, the rule by which
+``thermo.eigen_mixture`` builds its eigenprojector states.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, PovmError, StateError, WeightError
+from .errors import DimensionError, PovmError, StateError
 
 
 def _check_trace(tr: float) -> None:
@@ -43,7 +48,7 @@ def _check_trace(tr: float) -> None:
 @dataclass(frozen=True, eq=False)
 class StatisticalMatrix:
     """Trace-one positive Hermitian matrix, optionally carrying a short label
-    used in ledger descriptions and observer views."""
+    that only ``repr`` shows (``observers.coarse_grain`` passes it on)."""
 
     matrix: np.ndarray
     label: str | None = None
@@ -207,26 +212,12 @@ def are_orthogonal(a: StatisticalMatrix, b: StatisticalMatrix) -> bool:
     return abs(linalg.trace_product(a.matrix, b.matrix)) <= linalg.OVERLAP_TOL
 
 
-def optimal_separation_povm(components) -> Povm:
-    """Best separating membranes for a weighted mixture of gas states, given
-    as (weight, StatisticalMatrix) pairs.
+def optimal_separation_povm(state: StatisticalMatrix) -> Povm:
+    """Best separating membranes for a gas whose aggregate state is given:
+    the projective POVM onto the state's eigenbasis, one rank-one projector
+    per eigenvector in descending eigenvalue, outcomes named eig0, eig1, ...
 
-    Forms the aggregate state sum_i w_i rho_i and returns the projective POVM
-    onto its eigenbasis, one rank-one projector per eigenvector, ordered by
-    descending eigenvalue.  Weights must be positive and sum to one.
-    """
-    components = list(components)
-    if not components:
-        raise WeightError("empty mixture")
-    weights = [float(w) for w, _ in components]
-    if any(not w > 0 for w in weights):
-        raise WeightError(f"weights must be positive, got {weights}")
-    if not abs(sum(weights) - 1.0) <= linalg.WEIGHT_SUM_TOL:
-        raise WeightError(f"weights must sum to 1, got {sum(weights):.12g}")
-    dim = components[0][1].dim
-    if any(s.dim != dim for _, s in components):
-        raise DimensionError("mixture components must share one dimension")
-    aggregate = sum(w * s.matrix for w, (_, s) in zip(weights, components))
-    _, vecs = linalg.hermitian_eig(aggregate)
-    kets = [vecs[:, i] for i in range(dim)]
-    return Povm.projective(kets, labels=tuple(f"eig{i}" for i in range(dim)))
+    They depend on the density matrix alone: every preparation that state
+    describes, however its gases were mixed, gets the same membranes."""
+    _, p = linalg.eigenprojectors(state.matrix)
+    return Povm(tuple(p), tuple(f"eig{i}" for i in range(len(p))))

@@ -208,15 +208,11 @@ def aggregate_state(chamber: Chamber) -> StatisticalMatrix:
 
 
 def eigen_mixture(state: StatisticalMatrix) -> list[tuple[float, StatisticalMatrix]]:
-    """The state as (weight, eigenprojector) pairs in descending weight,
-    weights up to linalg.PRUNE_TOL dropped."""
-    w, v = linalg.hermitian_eig(state.matrix)
-    kept = [i for i in range(len(w)) if w[i] > linalg.PRUNE_TOL]
-    k = v[:, kept].T
-    if not np.all(np.abs(np.linalg.norm(k, axis=1) - 1.0) <= linalg.TRACE_TOL):
-        raise DomainError("ket normalization failed")
-    states = StatisticalMatrix._derived(k[:, :, None] * k.conj()[:, None, :])
-    return [(float(w[i]), s) for i, s in zip(kept, states)]
+    """The state as (weight, eigenprojector) pairs in descending weight, by
+    linalg.eigenprojectors, weights up to linalg.PRUNE_TOL dropped."""
+    w, p = linalg.eigenprojectors(state.matrix)
+    kept = w > linalg.PRUNE_TOL
+    return list(zip(w[kept].tolist(), StatisticalMatrix._derived(p[kept])))
 
 
 def canonical_contents(chamber: Chamber) -> list[tuple[float, StatisticalMatrix]]:

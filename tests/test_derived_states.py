@@ -37,7 +37,6 @@ from qgas.thermo import (
     GasComponent,
     LabState,
     aggregate_state,
-    canonical_contents,
     eigen_mixture,
     join,
     mix,
@@ -101,7 +100,7 @@ def separation_povm(rng, lab, name, skew_basis):
         return Povm.projective([u[:, i] for i in range(dim)])
     if kind == 2:
         return random_povm(rng, dim, int(rng.integers(2, 5)))
-    return optimal_separation_povm(canonical_contents(lab.chamber(name)))
+    return optimal_separation_povm(aggregate_state(lab.chamber(name)))
 
 
 def mixable_pairs(lab, tol=linalg.CLOSURE_TOL):

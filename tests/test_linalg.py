@@ -160,6 +160,17 @@ def test_hermitian_eig_rejects_non_hermitian():
         linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_eigenprojectors_are_hermitian_eig_outer_products(rng, dim):
+    m = random_hermitian(rng, dim)
+    w, v = linalg.hermitian_eig(m)
+    weights, stack = linalg.eigenprojectors(m)
+    assert np.array_equal(weights, w)
+    assert stack.shape == (dim, dim, dim)
+    for i in range(dim):
+        assert np.array_equal(stack[i], np.outer(v[:, i], v[:, i].conj()))
+
+
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_hermitian_eig_degenerate_basis_is_canonical(rng, dim):
     # a projector built from two different orthonormal bases of its range
@@ -338,24 +349,41 @@ def test_isometry_rejects_non_finite_and_overflowing_entries(columns):
             linalg.isometry(np.array(columns, dtype=complex), GapError, "gap")
 
 
-def _svd_lines(tree) -> list[int]:
-    """Line of each name, attribute or import of ``svd`` in a syntax tree."""
+def _lines_naming(name, tree) -> list[int]:
+    """Line of each name, attribute or import of ``name`` in a syntax tree."""
     return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "svd"
-            or isinstance(node, ast.Attribute) and node.attr == "svd"
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
             or isinstance(node, (ast.Import, ast.ImportFrom))
-            and any(alias.name.split(".")[-1] == "svd" for alias in node.names)]
+            and any(alias.name.split(".")[-1] == name for alias in node.names)]
 
 
-def test_only_linalg_isometry_names_svd():
-    """The polar factor lives in one place: every operator made exact once
-    built goes through linalg.isometry."""
-    offenders = []
-    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = {line for node in tree.body
-                   if path.name == "linalg.py" and isinstance(node, ast.FunctionDef)
-                   and node.name == "isometry" for line in _svd_lines(node)}
-        offenders += [f"{path.name}:{line}" for line in _svd_lines(tree)
-                      if line not in allowed]
-    assert not offenders, "svd outside linalg.isometry: " + ", ".join(offenders)
+def _definition(tree, qualname):
+    """The class or function of a dotted qualified name in a module tree."""
+    node = tree
+    for part in qualname.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                    and n.name == part)
+    return node
+
+
+@pytest.mark.parametrize("decomposition, module, home", [
+    # the polar factor: every operator made exact once built
+    ("svd", "linalg.py", "isometry"),
+    # one eigen path: every eigenvector qgas uses is canonical
+    ("eigh", "linalg.py", "hermitian_eig"),
+    # the one full state check
+    ("eigvalsh", "quantum.py", "StatisticalMatrix.__post_init__"),
+])
+def test_each_decomposition_named_only_in_its_home(decomposition, module, home):
+    package = Path(linalg.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    allowed = set(_lines_naming(decomposition, _definition(trees[module], home)))
+    assert allowed, f"{module} {home} no longer names {decomposition}"
+    offenders = [f"{name}:{line}" for name, tree in trees.items()
+                 for line in _lines_naming(decomposition, tree)
+                 if name != module or line not in allowed]
+    assert not offenders, (f"{decomposition} outside {home}: "
+                           + ", ".join(offenders))

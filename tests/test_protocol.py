@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import LN2, P_HI, P_LO, SEPARATION_HEAT
-from qgas import protocol, thermo
+from qgas import linalg, protocol, thermo
 from qgas.errors import (
     AssertClosedError,
     DomainError,
@@ -414,6 +414,46 @@ class TestExecute:
         volumes = sorted(c.volume for c in result.final_state.chambers.values())
         assert volumes == pytest.approx([P_LO, P_HI], abs=1e-9)
 
+    def test_eigenbasis_separation_decomposes_once(self, monkeypatch):
+        calls = []
+        eig = linalg.hermitian_eig
+
+        def counting(m):
+            calls.append(m)
+            return eig(m)
+
+        ast = parse(protocol.demo_source("partial-separation"))
+        monkeypatch.setattr(linalg, "hermitian_eig", counting)
+        execute(ast)
+        assert len(calls) == 1
+
+    def test_one_density_matrix_gives_one_set_of_membranes(self, monkeypatch):
+        # z+/z- and x+/x- half and half are different preparations of I/2
+        source = (
+            "space lab dim 2\ntemp 1.5\nket z+ = [1, 0]\nket z- = [0, 1]\n"
+            "ket x+ = [1, 1]\nket x- = [1, -1]\n"
+            + "".join(f"gas g{k} from ket {k}\n" for k in ("z+", "z-", "x+", "x-"))
+            + "chamber z volume 1\nchamber x volume 1\n"
+            "fill z { gz+ : 0.5, gz- : 0.5 } moles 0.75\n"
+            "fill x { gx+ : 0.5, gx- : 0.5 } moles 0.75\n"
+            "separate z by eigenbasis into z0 z1\n"
+            "separate x by eigenbasis into x0 x1\n"
+        )
+        membranes = []
+        optimal = protocol.optimal_separation_povm
+
+        def recording(state):
+            membranes.append(optimal(state))
+            return membranes[-1]
+
+        monkeypatch.setattr(protocol, "optimal_separation_povm", recording)
+        events = execute(parse(source)).ledger.events
+        from_z, from_x = membranes
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(from_z.effects, from_x.effects, strict=True))
+        assert [e.heat_absorbed_by_gas for e in events] == pytest.approx(
+            [-0.75 * 1.5 * LN2] * 2, abs=1e-12)
+
     def test_separate_keeps_a_small_mole_gas(self):
         # outcomes were pruned on absolute moles, so 1e-13 moles vanished
         source = (
@@ -546,8 +586,11 @@ class TestExecute:
          "mix c d into m by povm lift blind { one }",
          "effect 'one' passes 'c' with p=1 and 'd' with p=1;"
          " it distinguishes neither chamber with certainty"),
+        ("separate c by eigenbasis into x y", "chamber 'c' holds no gas"),
+        ("fill c { g : 1 } moles 1\nseparate c by eigenbasis into x y w",
+         "need 2 outcome names, got 3"),
     ], ids=["outcome-names", "unfilled", "unfilled-mix", "rotate-dim",
-            "blind-mix"])
+            "blind-mix", "unfilled-eigenbasis", "eigenbasis-outcome-names"])
     def test_bad_step_reported_at_its_line(self, step, message):
         source = DECL_HEAD + "ket z- = [0, 1]\nchamber c volume 1\n" + step + "\n"
         line = source.count("\n")

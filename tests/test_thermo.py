@@ -219,7 +219,7 @@ class TestSeparate:
             aggregate = sum(c.moles * c.state.matrix for c in parts) / n_total
             p = np.linalg.eigvalsh(aggregate)
             entropy = -sum(x * math.log(x) for x in p if x > 0)
-            povm = optimal_separation_povm(canonical_contents(lab.chamber("c")))
+            povm = optimal_separation_povm(aggregate_state(lab.chamber("c")))
             _, event = separate(lab, "c", povm)
             q = event.heat_absorbed_by_gas
             assert abs(q + n_total * t * entropy) <= 1e-12 * n_total * t
@@ -540,12 +540,25 @@ def test_eigen_mixture_states_are_the_eigenprojectors(rng, dim):
                                    rtol=0, atol=1e-15)
 
 
-def test_eigen_mixture_rejects_eigenvectors_off_unit_norm(monkeypatch):
+@pytest.mark.parametrize("eigenprojectors_of", [eigen_mixture, optimal_separation_povm])
+def test_eigenprojectors_reject_eigenvectors_off_unit_norm(monkeypatch,
+                                                           eigenprojectors_of):
     eig = linalg.hermitian_eig
     monkeypatch.setattr(linalg, "hermitian_eig",
                         lambda m: (eig(m)[0], (1 + 1e-11) * eig(m)[1]))
     with pytest.raises(DomainError, match="ket normalization failed"):
-        eigen_mixture(StatisticalMatrix(Z_PLUS))
+        eigenprojectors_of(StatisticalMatrix(Z_PLUS))
+
+
+def test_one_density_matrix_gives_one_set_of_membranes():
+    # two preparations of I/2, whose aggregates differ by round-off: the
+    # membranes see the density matrix alone
+    z_pair = chamber("z", 1.0, [(Z_PLUS, 0.5), (Z_MINUS, 0.5)])
+    x_pair = chamber("x", 1.0, [(StatisticalMatrix.pure(k).matrix, 0.5)
+                                for k in ([1, 1], [1, -1])])
+    effects = [optimal_separation_povm(aggregate_state(ch)).effects
+               for ch in (z_pair, x_pair)]
+    assert all(np.array_equal(a, b) for a, b in zip(*effects, strict=True))
 
 
 class TestConservationAndReversibility:
