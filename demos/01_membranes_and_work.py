@@ -12,7 +12,6 @@ import numpy as np
 
 from qgas import (
     Chamber,
-    GasComponent,
     LabState,
     Povm,
     StatisticalMatrix,
@@ -40,7 +39,8 @@ print("\nisothermal work for V -> V/2:", isothermal_work(1, 1, 1.0, 0.5))
 print("expected -ln 2            :", -math.log(2))
 
 # a chamber holding half a mole of each gas
-cell = Chamber("cell", 1.0, (GasComponent(z_up, 0.5), GasComponent(z_down, 0.5)))
+cell = Chamber("cell", 1.0, 1.0,
+               StatisticalMatrix((z_up.matrix + z_down.matrix) / 2))
 lab = LabState(1.0, {"cell": cell}, 2)
 
 lab, event = separate(lab, "cell", membranes, names=("top", "bottom"))

@@ -12,7 +12,6 @@ import numpy as np
 
 from qgas import (
     Chamber,
-    GasComponent,
     LabState,
     StatisticalMatrix,
     are_orthogonal,
@@ -39,7 +38,8 @@ for rho in (z_plus, x_plus):
     print(f"outcome probabilities for {rho.label}-gas:",
           [round(p, 6) for p in probs])
 
-cell = Chamber("cell", 1.0, (GasComponent(z_plus, 0.5), GasComponent(x_plus, 0.5)))
+cell = Chamber("cell", 1.0, 1.0,
+               StatisticalMatrix((z_plus.matrix + x_plus.matrix) / 2))
 print("\ncanonical description of the mixed chamber:")
 for weight, state in canonical_contents(cell):
     print(f"  {weight:.6f} of")

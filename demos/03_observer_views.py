@@ -11,7 +11,6 @@ import numpy as np
 
 from qgas import (
     Chamber,
-    GasComponent,
     LabState,
     Povm,
     StatisticalMatrix,
@@ -43,7 +42,7 @@ print(coarse_grain(tatiana, d_z).matrix.real)
 
 # a chamber mixing species p in state z+ with species d in state x+
 d_x = StatisticalMatrix.pure((e4[2] + e4[3]) / np.sqrt(2), label="d:x+")
-cell = Chamber("cell", 1.0, (GasComponent(p_z, 0.5), GasComponent(d_x, 0.5)))
+cell = Chamber("cell", 1.0, 1.0, StatisticalMatrix((p_z.matrix + d_x.matrix) / 2))
 lab = LabState(1.0, {"cell": cell}, 4)
 
 print("\ntatiana's view of the mixed chamber:")
@@ -64,7 +63,8 @@ probs = [r.probability for r in measure(lab_membranes, p_z)]
 print("lifted membrane on species p in z+:", [round(p, 6) for p in probs])
 
 # equivalence is observer-relative: swap the species and tatiana cannot tell
-swapped = Chamber("cell", 1.0, (GasComponent(d_z, 0.5), GasComponent(d_x, 0.5)))
+swapped = Chamber("cell", 1.0, 1.0,
+                  StatisticalMatrix((d_z.matrix + d_x.matrix) / 2))
 lab_swapped = LabState(1.0, {"cell": swapped}, 4)
 print("\nsame lab for tatiana:",
       states_equivalent(tatiana, lab, lab_swapped))

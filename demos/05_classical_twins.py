@@ -33,5 +33,5 @@ print("the truly closed cycle nets exactly zero.")
 print()
 print("final chamber contents at full resolution:")
 for name, chamber in result.final_state.chambers.items():
-    labels = [c.state.label or "gas" for c in chamber.contents]
+    labels = [chamber.state.label or "gas"]
     print(f"  {name}: V={chamber.volume:.3f} n={chamber.moles:.3f} {labels}")

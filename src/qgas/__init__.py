@@ -60,7 +60,6 @@ from .quantum import (
 )
 from .thermo import (
     Chamber,
-    GasComponent,
     LabState,
     Ledger,
     LedgerEvent,
@@ -90,7 +89,6 @@ __all__ = [
     "EmbeddingError",
     "EmptyChamberError",
     "ExecutionResult",
-    "GasComponent",
     "IndistinguishableError",
     "LabState",
     "Ledger",

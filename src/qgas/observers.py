@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .errors import BasisError, DimensionError, EmbeddingError
 from .quantum import Povm, StatisticalMatrix
-from .thermo import Chamber, LabState, aggregate_state, eigen_mixture
+from .thermo import Chamber, LabState, eigen_mixture
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,9 +143,9 @@ class ObserverView:
 
 
 def _coarse_aggregate(obs: Observer, chamber: Chamber) -> StatisticalMatrix | None:
-    if not chamber.contents:
+    if chamber.state is None:
         return None
-    return coarse_grain(obs, aggregate_state(chamber))
+    return coarse_grain(obs, chamber.state)
 
 
 def view(obs: Observer, lab: LabState) -> ObserverView:

@@ -64,7 +64,6 @@ from .observers import (
 from .quantum import Povm, StatisticalMatrix, optimal_separation_povm
 from .thermo import (
     Chamber,
-    GasComponent,
     LabState,
     Ledger,
     # not called here: bench/tracing.py wraps qgas.protocol.canonical_contents
@@ -506,10 +505,9 @@ class FillDecl(_Node):
             raise DomainError(f"fill fractions must sum to 1, got {total:.12g}")
         if not self.moles > 0:
             raise DomainError("fill moles must be positive")
-        contents = tuple(GasComponent(ctx.gases[gas], fraction * self.moles)
-                         for gas, fraction in self.parts)
-        ctx.chambers[self.chamber] = Chamber(
-            self.chamber, ctx.chambers[self.chamber].volume, contents)
+        ctx.chambers[self.chamber] = thermo._mean_chamber(
+            self.chamber, ctx.chambers[self.chamber].volume,
+            [(fraction * self.moles, ctx.gases[gas]) for gas, fraction in self.parts])
 
 
 @dataclass(frozen=True)
@@ -810,7 +808,7 @@ def execute(ast: ProtocolAst, tol: float = linalg.CLOSURE_TOL) -> ExecutionResul
     """Build the lab from the declarations, then fold the steps over it.
 
     Separations "by eigenbasis" resolve to the optimal separation POVM of
-    the chamber's canonical contents.  Failures surface as
+    the chamber's aggregate state.  Failures surface as
     ProtocolRuntimeError carrying the step index (-1 for a declaration);
     a failed assert-closed raises AssertClosedError with the observer and
     differing chamber.

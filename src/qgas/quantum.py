@@ -11,8 +11,9 @@ States are validated once, at the boundary.  ``StatisticalMatrix(m)`` and
 Hermiticity, trace one and positivity (one ``eigvalsh``).  A state derived
 from checked states by a checked operation is positive by construction:
 an outcome update (``measure``), a unitary conjugation (``thermo.rotate``),
-a convex mix (``thermo.aggregate_state``), an eigenprojector
-(``thermo.eigen_mixture``) and a coarse-graining (``observers.coarse_grain``).
+a convex mix (the mole-weighted mean that ``thermo``'s ``mix``, ``join``
+and a fill build), an eigenprojector (``thermo.eigen_mixture``) and a
+coarse-graining (``observers.coarse_grain``).
 Those five build their states with the private
 ``StatisticalMatrix._derived``, which takes a stack of matrices.  It
 stores the same exactly Hermitian matrices, runs no eigensolver and checks
@@ -21,8 +22,9 @@ unitaries and observer sectors they apply are made exact once built
 (``linalg.isometry``), and outcome updates normalize by the traces they
 read.  Outcome updates have one rule, the private ``_updates``: every
 effect of a POVM applied to a stack of states in one stacked product,
-each entry bit for bit the single-matrix A rho A^dag.  ``_outcomes``
-normalizes them into post states, and ``measure`` is its one-state call.
+each entry bit for bit the single-matrix A rho A^dag.  ``measure``
+normalizes those of one state into post states, and ``thermo.mix`` reads
+the traces of two.
 
 The best separating membranes (``optimal_separation_povm``) are a function
 of a chamber's aggregate state alone: the projectors of
@@ -179,29 +181,22 @@ def _updates(povm: Povm, states) -> tuple[np.ndarray, np.ndarray]:
     return raw, raw.trace(axis1=-2, axis2=-1).real
 
 
-def _outcomes(povm: Povm, states) -> list[list[OutcomeResult]]:
-    """Per state of a non-empty sequence, the OutcomeResult of each effect
-    of the POVM, as ``measure`` describes it; post-state traces are
-    checked in that order."""
-    raw, traces = _updates(povm, states)
-    kept = traces >= linalg.ZERO_PROB
-    posts = iter(StatisticalMatrix._derived(
-        raw[kept] / traces[kept][:, None, None],
-        [povm.outcome_labels[i] for i in kept.nonzero()[1].tolist()]))
-    # tr may pass 1 by round-off
-    return [[OutcomeResult(min(max(tr, 0.0), 1.0), next(posts) if keep else None)
-             for tr, keep in zip(row, keep_row)]
-            for row, keep_row in zip(traces.tolist(), kept.tolist())]
-
-
 def measure(povm: Povm, rho: StatisticalMatrix) -> list[OutcomeResult]:
     """Apply every effect of the POVM to rho.
 
     Outcome i carries probability tr(A_i rho A_i^dag) and the normalized
-    post state; outcomes with probability below 1e-12 carry no post state
-    (there is nothing left to normalize).
+    post state, labelled by the outcome; outcomes with probability below
+    linalg.ZERO_PROB carry no post state (there is nothing left to
+    normalize).  Post-state traces are checked in outcome order.
     """
-    return _outcomes(povm, [rho])[0]
+    (raw,), (traces,) = _updates(povm, [rho])
+    kept = traces >= linalg.ZERO_PROB
+    posts = iter(StatisticalMatrix._derived(
+        raw[kept] / traces[kept][:, None, None],
+        [povm.outcome_labels[i] for i in kept.nonzero()[0].tolist()]))
+    # tr may pass 1 by round-off
+    return [OutcomeResult(min(max(tr, 0.0), 1.0), next(posts) if keep else None)
+            for tr, keep in zip(traces.tolist(), kept.tolist())]
 
 
 def are_orthogonal(a: StatisticalMatrix, b: StatisticalMatrix) -> bool:

@@ -7,10 +7,15 @@ heat absorbed by the gas equals the work it performs:
 
     W = n R T ln(Vf / Vi) = Q.
 
-Ground truth is kept as the literal list of (state, moles) components per
-chamber; aggregate and eigen-mixture descriptions are derived on demand.
-That bookkeeping is what lets a later, finer observer remember that a
-chamber a coarse observer calls "pure" is in fact a mixture.
+A chamber holds its gas as a mole count and one density matrix, the
+mole-weighted mean of everything that went into it.  One matrix suffices:
+no lab membrane can tell apart preparations that one lab density matrix
+describes, and where a finer description tells them apart, the lab space
+is too small and the finer one calls for a larger lab space (as the
+peres-tatiana demo has), not for a record of how the gas was mixed.
+``separate`` measures that matrix, ``mix``, ``join`` and a fill take the
+mole-weighted mean of their inputs by one rule, ``rotate`` conjugates it
+and ``partition`` scales the moles.
 """
 
 from __future__ import annotations
@@ -32,50 +37,55 @@ from .errors import (
     UnknownChamberError,
     UnknownCheckpointError,
 )
-from .quantum import Povm, StatisticalMatrix, _outcomes, _updates
+from .quantum import Povm, StatisticalMatrix, _updates, measure
 
 R = 1.0
 
 EVENT_KINDS = ("mix", "separate", "rotate", "partition", "join", "checkpoint")
 
 
-@dataclass(frozen=True, eq=False)
-class GasComponent:
-    """A quantity of one gas: its internal state and its mole count."""
-
-    state: StatisticalMatrix
-    moles: float
-
-    def __post_init__(self):
-        if not 0 < self.moles < math.inf:
-            raise DomainError(
-                f"moles must be positive and finite, got {self.moles}"
-            )
+def _check_moles(name: str, moles: float, filled: bool) -> None:
+    """A filled chamber holds a positive finite mole count, an unfilled one
+    none."""
+    if not (0 < moles < math.inf if filled else moles == 0):
+        raise DomainError(f"chamber {name!r} holds {moles} moles")
 
 
 @dataclass(frozen=True, eq=False)
 class Chamber:
-    """A volume at the lab temperature holding a multiset of gas components."""
+    """A volume at the lab temperature holding ``moles`` of gas in ``state``;
+    an unfilled chamber has no state and 0 moles."""
 
     name: str
     volume: float
-    contents: tuple[GasComponent, ...] = ()
+    moles: float = 0.0
+    state: StatisticalMatrix | None = None
 
     def __post_init__(self):
         if not 0 < self.volume < math.inf:
             raise DomainError(
                 f"volume must be positive and finite, got {self.volume}"
             )
-        dims = {c.state.dim for c in self.contents}
-        if len(dims) > 1:
-            raise DimensionError(f"components of {self.name!r} mix dimensions {dims}")
-        object.__setattr__(self, "contents", tuple(self.contents))
-        if not math.isfinite(self.moles):
-            raise DomainError(f"chamber {self.name!r} holds {self.moles} moles")
+        _check_moles(self.name, self.moles, self.state is not None)
 
-    @property
-    def moles(self) -> float:
-        return sum(c.moles for c in self.contents)
+
+def _mean_chamber(name: str, volume: float, parts) -> Chamber:
+    """The chamber holding every filled part of ``parts``, (moles, state)
+    pairs with no state for an unfilled part: their mole sum, checked
+    first, in their mole-weighted mean state, labelled by the label all of
+    them share (else none)."""
+    parts = [(moles, rho) for moles, rho in parts if rho is not None]
+    if not parts:
+        return Chamber(name, volume)
+    n = sum(moles for moles, _ in parts)
+    _check_moles(name, n, True)
+    dims = {rho.dim for _, rho in parts}
+    if len(dims) > 1:
+        raise DimensionError(f"components of {name!r} mix dimensions {dims}")
+    m = sum((moles / n) * rho.matrix for moles, rho in parts)
+    labels = {rho.label for _, rho in parts}
+    label = labels.pop() if len(labels) == 1 else None
+    return Chamber(name, volume, n, StatisticalMatrix._derived(m[None], [label])[0])
 
 
 def check_temperature(t: float) -> None:
@@ -195,16 +205,10 @@ def isothermal_work(n: float, t: float, v_initial: float, v_final: float) -> flo
 
 
 def aggregate_state(chamber: Chamber) -> StatisticalMatrix:
-    """Mole-weighted mean state of everything in the chamber."""
-    if not chamber.contents:
+    """Mole-weighted mean state of everything that went into the chamber."""
+    if chamber.state is None:
         raise EmptyChamberError(f"chamber {chamber.name!r} holds no gas")
-    if len(chamber.contents) == 1:
-        # the formula's matrix: n / n is exactly 1 and the state is already
-        # exactly Hermitian with its trace checked
-        return chamber.contents[0].state
-    n = chamber.moles
-    m = sum((c.moles / n) * c.state.matrix for c in chamber.contents)
-    return StatisticalMatrix._derived(m[None])[0]
+    return chamber.state
 
 
 def eigen_mixture(state: StatisticalMatrix) -> list[tuple[float, StatisticalMatrix]]:
@@ -218,28 +222,6 @@ def eigen_mixture(state: StatisticalMatrix) -> list[tuple[float, StatisticalMatr
 def canonical_contents(chamber: Chamber) -> list[tuple[float, StatisticalMatrix]]:
     """The chamber's contents as the eigen-mixture of its aggregate state."""
     return eigen_mixture(aggregate_state(chamber))
-
-
-def _merge(components) -> tuple[GasComponent, ...]:
-    """Canonically merge components whose states coincide entrywise: each
-    joins the first slot whose first state is within SAME_STATE_TOL of its
-    own.  Components of mixed dimensions are left for Chamber to reject."""
-    if len(components) < 2 or len({c.state.dim for c in components}) > 1:
-        return tuple(components)
-    m = np.array([c.state.matrix for c in components]).reshape(len(components), -1)
-    # max |m_i - m_j| of all pairs, in row blocks of about a megabyte
-    rows = max(1, 2**16 // m.size)
-    gap = [row for i in range(0, len(m), rows)
-           for row in np.abs(m[i:i + rows, None] - m).max(-1).tolist()]
-    merged: list[list] = []
-    for j, comp in enumerate(components):
-        for slot in merged:
-            if gap[slot[0]][j] <= linalg.SAME_STATE_TOL:
-                slot[1] += comp.moles
-                break
-        else:
-            merged.append([j, comp.moles])
-    return tuple(GasComponent(components[j].state, moles) for j, moles in merged)
 
 
 def _replace_chambers(lab: LabState, removed, added) -> LabState:
@@ -271,16 +253,15 @@ def separate(lab: LabState, chamber: str, povm: Povm, names=None,
              step_index: int = 0) -> tuple[LabState, LedgerEvent]:
     """Drive the membranes of ``povm`` through a chamber.
 
-    Every component (rho, n) of the chamber feeds each outcome i a
-    sub-component (post_state_i, n * p_i).  Outcome i ends up in its own
-    chamber of volume f_i * V, where f_i is its mole-weighted share, so all
-    final pressures are equal; outcomes with negligible share are dropped.
-    The gas does work W = Q = sum_i n_i T ln f_i <= 0 (heat is released).
+    Outcome i of ``measure`` on the chamber's state, of probability f_i,
+    takes the share f_i of its moles in the outcome's post state into its
+    own chamber of volume f_i * V, so all final pressures are equal;
+    outcomes with negligible share are dropped.  The gas does work
+    W = Q = sum_i n_i T ln f_i <= 0 (heat is released).
     """
     ch = lab.chamber(chamber)
     _check_povm_dim(lab, povm)
-    if not ch.contents:
-        raise EmptyChamberError(f"chamber {chamber!r} holds no gas")
+    rho = aggregate_state(ch)
     if names is None:
         names = [f"{chamber}.{label}" for label in povm.outcome_labels]
     if len(names) != len(povm.effects):
@@ -288,28 +269,19 @@ def separate(lab: LabState, chamber: str, povm: Povm, names=None,
             f"need {len(povm.effects)} outcome names, got {len(names)}"
         )
 
-    n_total = ch.moles
     t = lab.temperature
     new_chambers = []
     q = 0.0
     parts = []
-    outcomes = _outcomes(povm, [comp.state for comp in ch.contents])
-    for i in range(len(povm)):
-        collected = [
-            GasComponent(res[i].post_state, comp.moles * res[i].probability)
-            for comp, res in zip(ch.contents, outcomes)
-            if res[i].post_state is not None
-            and comp.moles * res[i].probability > linalg.PRUNE_TOL * n_total
-        ]
-        fraction = sum(c.moles for c in collected) / n_total
+    for name, outcome in zip(names, measure(povm, rho)):
+        fraction = outcome.probability
         if fraction <= linalg.PRUNE_TOL:
             continue
-        moles_i = fraction * n_total
+        moles_i = fraction * ch.moles
         q += moles_i * R * t * math.log(fraction)
-        new_chambers.append(
-            Chamber(names[i], fraction * ch.volume, _merge(collected))
-        )
-        parts.append(f"{names[i]}({fraction:.6g}V)")
+        new_chambers.append(Chamber(name, fraction * ch.volume, moles_i,
+                                    outcome.post_state))
+        parts.append(f"{name}({fraction:.6g}V)")
 
     new_lab = _replace_chambers(lab, [chamber], new_chambers)
     desc = f"separate {chamber} by {{{', '.join(povm.outcome_labels)}}}" \
@@ -347,7 +319,8 @@ def mix(lab: LabState, a: str, b: str, povm: Povm, name=None,
     q = (cha.moles * R * t * math.log(volume / cha.volume)
          + chb.moles * R * t * math.log(volume / chb.volume))
     name = name or f"{a}+{b}"
-    merged = Chamber(name, volume, _merge(cha.contents + chb.contents))
+    merged = _mean_chamber(name, volume, [(cha.moles, cha.state),
+                                          (chb.moles, chb.state)])
     new_lab = _replace_chambers(lab, [a, b], [merged])
     desc = f"mix {a} + {b} into {name} by {{{', '.join(povm.outcome_labels)}}}"
     return new_lab, LedgerEvent.isothermal(step_index, "mix", q, desc)
@@ -387,23 +360,21 @@ def _check_unitary(shape: tuple, dtype: str, data: bytes) -> None:
 def rotate(lab: LabState, chamber: str, u: np.ndarray, mapped: int,
            step_index: int = 0) -> tuple[LabState, LedgerEvent]:
     """Apply the unitary u, built by rotation_unitary from a mapping of
-    ``mapped`` kets, to every component state of the chamber.  Isochoric
-    and energy-free: Q = W = 0."""
+    ``mapped`` kets, to the chamber's state.  Isochoric and energy-free:
+    Q = W = 0."""
     ch = lab.chamber(chamber)
     if u.shape != (lab.lab_dim, lab.lab_dim):
         raise DimensionError(
             f"rotation of shape {u.shape} does not act on lab dim {lab.lab_dim}"
         )
-    if ch.contents and ch.contents[0].state.dim != lab.lab_dim:
+    if ch.state is not None and ch.state.dim != lab.lab_dim:
         raise DimensionError(f"chamber {chamber!r} holds dim"
-                             f" {ch.contents[0].state.dim} gas in lab dim {lab.lab_dim}")
+                             f" {ch.state.dim} gas in lab dim {lab.lab_dim}")
     _check_unitary(u.shape, u.dtype.str, u.tobytes())
-    # an unfilled chamber stays unfilled; an empty list is no (0, d, d) stack
-    states = StatisticalMatrix._derived(
-        u @ np.array([c.state.matrix for c in ch.contents]) @ u.conj().T
-    ) if ch.contents else []
-    contents = tuple(GasComponent(s, c.moles) for s, c in zip(states, ch.contents))
-    rotated = Chamber(ch.name, ch.volume, _merge(contents))
+    # an unfilled chamber stays unfilled
+    state = None if ch.state is None else StatisticalMatrix._derived(
+        u @ ch.state.matrix[None] @ u.conj().T)[0]
+    rotated = Chamber(ch.name, ch.volume, ch.moles, state)
     new_lab = _replace_chambers(lab, [chamber], [rotated])
     desc = f"rotate {chamber} by a {mapped}-ket mapping"
     return new_lab, LedgerEvent.isothermal(step_index, "rotate", 0.0, desc)
@@ -420,12 +391,8 @@ def partition(lab: LabState, chamber: str, fraction: float, names=None,
         names = (f"{chamber}.0", f"{chamber}.1")
     if len(names) != 2:
         raise DomainError("partition needs exactly two chamber names")
-    halves = []
-    for part_name, f in zip(names, (fraction, 1.0 - fraction)):
-        contents = tuple(
-            GasComponent(c.state, c.moles * f) for c in ch.contents
-        )
-        halves.append(Chamber(part_name, f * ch.volume, contents))
+    halves = [Chamber(part_name, f * ch.volume, ch.moles * f, ch.state)
+              for part_name, f in zip(names, (fraction, 1.0 - fraction))]
     new_lab = _replace_chambers(lab, [chamber], halves)
     desc = f"partition {chamber} at {fraction:.6g} into {names[0]}, {names[1]}"
     return new_lab, LedgerEvent.isothermal(step_index, "partition", 0.0, desc)
@@ -440,8 +407,8 @@ def join(lab: LabState, a: str, b: str, name=None,
         raise DomainError("cannot join a chamber with itself")
     cha, chb = lab.chamber(a), lab.chamber(b)
     name = name or f"{a}+{b}"
-    merged = Chamber(name, cha.volume + chb.volume,
-                     _merge(cha.contents + chb.contents))
+    merged = _mean_chamber(name, cha.volume + chb.volume,
+                           [(cha.moles, cha.state), (chb.moles, chb.state)])
     new_lab = _replace_chambers(lab, [a, b], [merged])
     desc = f"join {a} + {b} into {name}"
     return new_lab, LedgerEvent.isothermal(step_index, "join", 0.0, desc)

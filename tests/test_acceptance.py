@@ -18,7 +18,7 @@ from qgas.cli import CliConfig, run_command
 from qgas.errors import ParseError
 from qgas.observers import build_observer, coarse_grain, identity_observer, lift_through
 from qgas.quantum import Povm, StatisticalMatrix, measure
-from qgas.thermo import Chamber, GasComponent, LabState, mix, separate
+from qgas.thermo import Chamber, LabState, mix, separate
 
 R2 = math.sqrt(2)
 LN2 = math.log(2)
@@ -154,8 +154,8 @@ def _check_reversibility_suite(rng):
         na, nb = (float(x) for x in rng.uniform(0.2, 1.0, size=2))
         lab = LabState(
             1.0,
-            {"a": Chamber("a", na, (GasComponent(rho, na),)),
-             "b": Chamber("b", nb, (GasComponent(sigma, nb),))},
+            {"a": Chamber("a", na, na, rho),
+             "b": Chamber("b", nb, nb, sigma)},
             dim,
         )
         povm = Povm((rho.matrix, np.eye(dim) - rho.matrix))

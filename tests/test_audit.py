@@ -15,11 +15,11 @@ from qgas.errors import UnknownCheckpointError
 from qgas.observers import identity_observer
 from qgas.protocol import run_demo
 from qgas.quantum import StatisticalMatrix
-from qgas.thermo import Chamber, GasComponent, LabState, Ledger, LedgerEvent
+from qgas.thermo import Chamber, LabState, Ledger, LedgerEvent
 
 
 def simple_lab():
-    cell = Chamber("c", 1.0, (GasComponent(StatisticalMatrix(Z_PLUS), 1.0),))
+    cell = Chamber("c", 1.0, 1.0, StatisticalMatrix(Z_PLUS))
     return LabState(1.0, {"c": cell}, 2)
 
 
@@ -80,7 +80,7 @@ def test_audit_additive_over_intermediate_checkpoint(rng):
 
 
 def test_audit_with_different_temperature():
-    cell = Chamber("c", 1.0, (GasComponent(StatisticalMatrix(Z_PLUS), 1.0),))
+    cell = Chamber("c", 1.0, 1.0, StatisticalMatrix(Z_PLUS))
     lab = LabState(2.0, {"c": cell}, 2)
     ledger = Ledger()
     ledger.checkpoint("start", lab, 0)
@@ -96,7 +96,7 @@ def test_audit_open_when_chamber_sets_differ():
     ledger.checkpoint("start", lab, 0)
     other = LabState(
         1.0,
-        {"d": Chamber("d", 1.0, (GasComponent(StatisticalMatrix(Z_PLUS), 1.0),))},
+        {"d": Chamber("d", 1.0, 1.0, StatisticalMatrix(Z_PLUS))},
         2,
     )
     verdict = audit(ledger, identity_observer(2), "start", other)

@@ -2,8 +2,9 @@
 
 Public construction (``StatisticalMatrix(m)``, ``StatisticalMatrix.pure``)
 and every parsed gas declaration run the full state check.  The states that
-``measure``, ``rotate``, ``aggregate_state``, ``eigen_mixture`` and
-``coarse_grain`` derive from checked states skip its eigensolver.  A seeded
+``measure``, ``rotate``, the mole-weighted mean of ``mix``, ``join`` and a
+fill, ``eigen_mixture`` and ``coarse_grain`` derive from checked states
+skip its eigensolver.  A seeded
 random walk of separate, mix, rotate, partition and join over d = 1..8
 re-checks every one of them with the public constructor after every step,
 together with the ledger's invariants: Q == W, conserved moles, heat
@@ -28,14 +29,14 @@ from qgas.observers import build_observer, coarse_grain
 from qgas.quantum import (
     Povm,
     StatisticalMatrix,
-    _outcomes,
+    _updates,
     measure,
     optimal_separation_povm,
 )
 from qgas.thermo import (
     Chamber,
-    GasComponent,
     LabState,
+    _mean_chamber,
     aggregate_state,
     eigen_mixture,
     join,
@@ -124,11 +125,10 @@ def check_lab(lab, before, observers, moles, where):
     for ch in lab.chambers.values():
         if id(ch) in kept:
             continue
-        for c in ch.contents:
-            # separate's outcome states and rotate's u rho u^dagger
-            recheck(c.state, f"{where}, chamber {ch.name!r}")
+        # separate's outcome states, rotate's u rho u^dagger and the mean
+        # states of a fill, mix and join
         agg = aggregate_state(ch)
-        recheck(agg, f"{where}, aggregate of {ch.name!r}")
+        recheck(agg, f"{where}, chamber {ch.name!r}")
         described = [agg] + [coarse_grain(obs, agg) for obs in observers]
         for sigma in described:
             recheck(sigma, f"{where}, view of {ch.name!r}")
@@ -144,16 +144,16 @@ def walk(rng, dim, kinds, lowest_p):
     observers = [coarse_observer(rng, dim) for _ in range(2)]
     chambers = {}
     for name in ("a", "b"):
-        parts = [GasComponent(random_gas(rng, dim, skew_basis),
-                              float(rng.uniform(0.1, 2.0)))
-                 for _ in range(rng.integers(1, 4))]
-        chambers[name] = Chamber(name, float(rng.uniform(0.5, 2.0)), parts)
+        parts = []
+        for _ in range(rng.integers(1, 4)):
+            gas = random_gas(rng, dim, skew_basis)
+            parts.append((float(rng.uniform(0.1, 2.0)), gas))
+        chambers[name] = _mean_chamber(name, float(rng.uniform(0.5, 2.0)), parts)
     # chamber "s" holds skewed gases only and is first separated in the
     # skew basis, so outcome probabilities reach down to the cut-off
-    skewed = [GasComponent(StatisticalMatrix.pure(
-                  skewed_ket(rng, skew_basis, lowest=-6.5)), 0.5)
+    skewed = [(0.5, StatisticalMatrix.pure(skewed_ket(rng, skew_basis, lowest=-6.5)))
               for _ in range(3)]
-    chambers["s"] = Chamber("s", 1.0, skewed)
+    chambers["s"] = _mean_chamber("s", 1.0, skewed)
     lab = LabState(float(rng.uniform(0.5, 2.0)), chambers, dim)
     moles = lab.total_moles()
     check_lab(lab, None, observers, moles, f"dim {dim}, declared")
@@ -184,11 +184,10 @@ def walk(rng, dim, kinds, lowest_p):
             else:
                 name = names[rng.integers(len(names))]
                 povm = separation_povm(rng, lab, name, skew_basis)
-            for c in lab.chamber(name).contents:
-                for res in measure(povm, c.state):
-                    if res.post_state is not None:
-                        recheck(res.post_state, f"{where}, outcome state")
-                        lowest_p[0] = min(lowest_p[0], res.probability)
+            for res in measure(povm, aggregate_state(lab.chamber(name))):
+                if res.post_state is not None:
+                    recheck(res.post_state, f"{where}, outcome state")
+                    lowest_p[0] = min(lowest_p[0], res.probability)
             n = lab.chamber(name).moles
             labels = [f"{new}.{i}" for i in range(len(povm))]
             lab, event = separate(lab, name, povm, labels)
@@ -229,14 +228,14 @@ def test_random_walk_keeps_every_derived_state_valid():
 def test_repeated_rotation_does_not_drift_the_trace(dim):
     rng = np.random.default_rng(dim)
     gases = (random_state(rng, dim), StatisticalMatrix.pure(random_ket(rng, dim)))
-    chamber = Chamber("c", 1.0, tuple(GasComponent(s, 0.5) for s in gases))
+    chamber = _mean_chamber("c", 1.0, [(0.5, s) for s in gases])
     lab = LabState(1.0, {"c": chamber}, dim)
     rotations = [random_rotation(rng, dim) for _ in range(16)]
     for i in range(800):
         lab, _ = rotate(lab, "c", rotations[i % 16], dim)
-    for c in lab.chamber("c").contents:
-        assert abs(np.trace(c.state.matrix).real - 1) <= linalg.TRACE_TOL
-        recheck(c.state, f"dim {dim}, after 800 rotations")
+    state = lab.chamber("c").state
+    assert abs(np.trace(state.matrix).real - 1) <= linalg.TRACE_TOL
+    recheck(state, f"dim {dim}, after 800 rotations")
 
 
 def hermitian(m):
@@ -245,26 +244,29 @@ def hermitian(m):
 
 @pytest.mark.parametrize("dim", range(1, linalg.MAX_DIM + 1))
 def test_stacked_updates_equal_the_single_matrix_formulas(dim):
-    """Outcome updates and rotations act on a whole stack of states at
-    once; each entry must equal the one-matrix formula bit for bit, so a
-    change that moves one bit fails here, not only in the golden bytes."""
+    """Outcome updates act on a stack of states at once (mix reads the
+    traces of two); each entry, measure's post states, a join's mean and a
+    rotation must equal the one-matrix formula bit for bit, so a change
+    that moves one bit fails here, not only in the golden bytes."""
     rng = np.random.default_rng(dim)
     for _ in range(20):
         povm = random_povm(rng, dim, int(rng.integers(1, 9)))
-        states = [random_state(rng, dim) for _ in range(rng.integers(1, 9))]
-        # separate's call on all states at once, and measure's on one
-        for rho, stacked in zip(states, _outcomes(povm, states)):
-            for a, res, one in zip(povm.effects, stacked, measure(povm, rho)):
-                raw = a @ rho.matrix @ a.conj().T
-                tr = float(np.trace(raw).real)
-                for r in (res, one):
-                    assert r.probability == min(max(tr, 0.0), 1.0)
-                    assert np.array_equal(r.post_state.matrix, hermitian(raw / tr))
+        states = [random_state(rng, dim) for _ in range(2)]
+        raw, traces = _updates(povm, states)
+        for j, rho in enumerate(states):
+            for i, (a, one) in enumerate(zip(povm.effects, measure(povm, rho))):
+                single = a @ rho.matrix @ a.conj().T
+                tr = float(np.trace(single).real)
+                assert np.array_equal(raw[j, i], single)
+                assert traces[j, i] == tr
+                assert one.probability == min(max(tr, 0.0), 1.0)
+                assert np.array_equal(one.post_state.matrix, hermitian(single / tr))
         u = random_unitary(rng, dim)
-        parts = [GasComponent(s, 0.5) for s in states]
-        lab = LabState(1.0, {"c": Chamber("c", 1.0, parts)}, dim)
-        rotated = rotate(lab, "c", u, dim)[0].chamber("c").contents
-        assert len(rotated) == (1 if dim == 1 else len(states))
-        for c, rho in zip(rotated, states):
-            assert np.array_equal(c.state.matrix,
-                                  hermitian(u @ rho.matrix @ u.conj().T))
+        lab = LabState(1.0, {"a": Chamber("a", 1.0, 0.25, states[0]),
+                             "b": Chamber("b", 1.0, 0.75, states[1])}, dim)
+        joined, _ = join(lab, "a", "b", "c")
+        mean = joined.chamber("c").state.matrix
+        assert np.array_equal(
+            mean, hermitian(0.25 * states[0].matrix + 0.75 * states[1].matrix))
+        rotated = rotate(joined, "c", u, dim)[0].chamber("c").state
+        assert np.array_equal(rotated.matrix, hermitian(u @ mean @ u.conj().T))

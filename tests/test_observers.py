@@ -28,7 +28,7 @@ from qgas.observers import (
     view,
 )
 from qgas.quantum import Povm, StatisticalMatrix, measure
-from qgas.thermo import Chamber, GasComponent, LabState
+from qgas.thermo import Chamber, LabState
 
 E4 = np.eye(4, dtype=complex)
 E2 = np.eye(2, dtype=complex)
@@ -214,11 +214,9 @@ class TestLiftThrough:
 
 class TestView:
     def test_tatiana_sees_alpha_mixture(self):
-        mixed = Chamber(
-            "cell", 1.0,
-            (GasComponent(pure4(0), 0.5),
-             GasComponent(StatisticalMatrix.pure((E4[2] + E4[3]) / R2), 0.5)),
-        )
+        d_x = StatisticalMatrix.pure((E4[2] + E4[3]) / R2)
+        mixed = Chamber("cell", 1.0, 1.0,
+                        StatisticalMatrix((pure4(0).matrix + d_x.matrix) / 2))
         result = view(tatiana(), lab_of([mixed], 4))
         (chv,) = result.chambers
         assert chv.volume == 1.0
@@ -228,8 +226,8 @@ class TestView:
         assert chv.mixture[0][1].close_to(StatisticalMatrix(ALPHA_PLUS), tol=1e-10)
 
     def test_johann_sees_the_same_argon_everywhere(self):
-        up = Chamber("up", 0.5, (GasComponent(StatisticalMatrix(Z_PLUS), 0.5),))
-        low = Chamber("low", 0.5, (GasComponent(StatisticalMatrix(Z_MINUS), 0.5),))
+        up = Chamber("up", 0.5, 0.5, StatisticalMatrix(Z_PLUS))
+        low = Chamber("low", 0.5, 0.5, StatisticalMatrix(Z_MINUS))
         result = view(johann(), lab_of([up, low], 2))
         for chv in result.chambers:
             assert len(chv.mixture) == 1
@@ -237,7 +235,7 @@ class TestView:
             assert chv.mixture[0][1].dim == 1
 
     def test_identity_view_returns_lab_aggregate(self):
-        cell = Chamber("c", 2.0, (GasComponent(StatisticalMatrix(MIXTURE), 1.0),))
+        cell = Chamber("c", 2.0, 1.0, StatisticalMatrix(MIXTURE))
         result = view(identity_observer(2), lab_of([cell], 2))
         (chv,) = result.chambers
         recon = sum(w * s.matrix for w, s in chv.mixture)
@@ -247,12 +245,12 @@ class TestView:
 class TestStatesEquivalent:
     def lab_pair(self):
         a = lab_of(
-            [Chamber("up", 0.5, (GasComponent(pure4(0), 0.5),)),
-             Chamber("low", 0.5, (GasComponent(pure4(2), 0.5),))], 4)
+            [Chamber("up", 0.5, 0.5, pure4(0)),
+             Chamber("low", 0.5, 0.5, pure4(2))], 4)
         # same volumes and moles, but species swapped in the low chamber
         b = lab_of(
-            [Chamber("up", 0.5, (GasComponent(pure4(0), 0.5),)),
-             Chamber("low", 0.5, (GasComponent(pure4(0), 0.5),))], 4)
+            [Chamber("up", 0.5, 0.5, pure4(0)),
+             Chamber("low", 0.5, 0.5, pure4(0))], 4)
         return a, b
 
     def test_reflexive_and_symmetric(self):
@@ -269,21 +267,21 @@ class TestStatesEquivalent:
     def test_identity_equivalence_implies_coarse_equivalence(self, rng):
         for _ in range(20):
             rho = random_state(rng, 4)
-            lab1 = lab_of([Chamber("c", 1.0, (GasComponent(rho, 1.0),))], 4)
-            lab2 = lab_of([Chamber("c", 1.0, (GasComponent(rho, 1.0),))], 4)
+            lab1 = lab_of([Chamber("c", 1.0, 1.0, rho)], 4)
+            lab2 = lab_of([Chamber("c", 1.0, 1.0, rho)], 4)
             assert states_equivalent(identity_observer(4), lab1, lab2)
             assert states_equivalent(tatiana(), lab1, lab2)
 
     def test_volume_and_mole_differences_detected(self):
-        base = lab_of([Chamber("c", 1.0, (GasComponent(pure4(0), 1.0),))], 4)
-        bigger = lab_of([Chamber("c", 2.0, (GasComponent(pure4(0), 1.0),))], 4)
-        fewer = lab_of([Chamber("c", 1.0, (GasComponent(pure4(0), 0.5),))], 4)
+        base = lab_of([Chamber("c", 1.0, 1.0, pure4(0))], 4)
+        bigger = lab_of([Chamber("c", 2.0, 1.0, pure4(0))], 4)
+        fewer = lab_of([Chamber("c", 1.0, 0.5, pure4(0))], 4)
         assert not states_equivalent(tatiana(), base, bigger)
         assert not states_equivalent(tatiana(), base, fewer)
 
     def test_mismatched_chamber_sets(self):
-        a = lab_of([Chamber("c", 1.0, (GasComponent(pure4(0), 1.0),))], 4)
-        b = lab_of([Chamber("d", 1.0, (GasComponent(pure4(0), 1.0),))], 4)
+        a = lab_of([Chamber("c", 1.0, 1.0, pure4(0))], 4)
+        b = lab_of([Chamber("d", 1.0, 1.0, pure4(0))], 4)
         assert not states_equivalent(tatiana(), a, b)
         assert equivalence_mismatch(tatiana(), a, b) == \
             "chamber sets differ: ['c'] vs ['d']"

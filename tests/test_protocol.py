@@ -5,8 +5,9 @@ import string
 import numpy as np
 import pytest
 
+import util
 from conftest import LN2, P_HI, P_LO, SEPARATION_HEAT
-from qgas import linalg, protocol, thermo
+from qgas import linalg, protocol, quantum, thermo
 from qgas.errors import (
     AssertClosedError,
     DomainError,
@@ -557,7 +558,7 @@ class TestExecute:
         result = execute(parse("space lab dim 2\nket a = [1e-13, 1e-13]\n"
                                "gas g from ket a\nchamber c volume 1.0\n"
                                "fill c { g : 1.0 } moles 1.0\n"))
-        state = result.final_state.chambers["c"].contents[0].state
+        state = result.final_state.chambers["c"].state
         assert np.allclose(state.matrix, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_unknown_demo(self):
@@ -607,8 +608,8 @@ class TestExecute:
     def test_steps_keep_an_unfilled_chamber_unfilled(self, step, volumes):
         source = DECL_HEAD + "ket z- = [0, 1]\nchamber e volume 1\n" + step + "\n"
         chambers = execute(parse(source)).final_state.chambers
-        assert {name: (ch.volume, ch.contents) for name, ch in chambers.items()} \
-            == {name: (volume, ()) for name, volume in volumes.items()}
+        assert {name: (ch.volume, ch.moles, ch.state) for name, ch in chambers.items()} \
+            == {name: (volume, 0.0, None) for name, volume in volumes.items()}
 
     # kets orthonormal only within ORTHONORMAL_TOL: the rotation and the
     # observer channel built from them used to move a state's trace by ~1e-10
@@ -619,8 +620,7 @@ class TestExecute:
         result = execute(parse(
             self.NEARLY_ORTHONORMAL + "gas g from ket z+\nchamber c volume 1.0\n"
             "fill c { g : 1.0 } moles 1.0\nrotate c map { a -> z+, b -> z- }\n"))
-        (component,) = result.final_state.chambers["c"].contents
-        np.testing.assert_allclose(component.state.matrix,
+        np.testing.assert_allclose(result.final_state.chambers["c"].state.matrix,
                                    [[0.36, 0.48], [0.48, 0.64]], atol=1e-9)
 
     def test_nearly_orthonormal_observer_audits(self):
@@ -722,13 +722,12 @@ class TestLedgerDetails:
         up = result.final_state.chambers["up"]
         low = result.final_state.chambers["low"]
         assert up.volume == pytest.approx(0.5, abs=1e-12)
-        assert len(up.contents) == 1
         pz = np.zeros((4, 4))
         pz[0, 0] = 1
-        assert np.max(np.abs(up.contents[0].state.matrix - pz)) < 1e-9
+        assert np.max(np.abs(up.state.matrix - pz)) < 1e-9
         dx = np.zeros((4, 4))
         dx[2:, 2:] = 0.5
-        assert np.max(np.abs(low.contents[0].state.matrix - dx)) < 1e-9
+        assert np.max(np.abs(low.state.matrix - dx)) < 1e-9
 
 
 REUSE_HEAD = """\
@@ -842,3 +841,55 @@ def test_peres_cycle_heat_closed_form(theta):
     entropy = -p * math.log(p) - (1 - p) * math.log(1 - p)
     assert verdict.cycle_closed
     assert verdict.q_total == pytest.approx(LN2 - entropy, abs=1e-9)
+
+
+def _number(z) -> str:
+    re_, im = repr(float(z.real)), float(z.imag)
+    return re_ if im == 0 else f"{re_}{'-' if im < 0 else '+'}{abs(im)!r}i"
+
+
+def growth_protocol(rounds: int) -> str:
+    """A dim-4 fill of a pure gas p and a gas d that overlaps it, then
+    ``rounds`` of: separate by a lifted POVM, join the outcomes back, and
+    rotate into a fixed random basis r0..r3, audited from the fill."""
+    u = util.random_unitary(np.random.default_rng(11), 4)
+    lines = ["space lab dim 4"]
+    lines += [f"ket e{i} = [{', '.join(_number(z) for z in np.eye(4)[i])}]"
+              for i in range(4)]
+    lines += [f"ket r{i} = [{', '.join(_number(z) for z in u[:, i])}]"
+              for i in range(4)]
+    lines += ["ket z+ = [1, 0]", "ket z- = [0, 1]",
+              "observer t table { e0 -> z+, e1 -> z-, e2 -> z+, e3 -> z- } dim 2",
+              "observer id table { e0 -> e0, e1 -> e1, e2 -> e2, e3 -> e3 } dim 4",
+              "gas p from ket e0", "gas d from ket r2",
+              "chamber cell volume 1.0", "fill cell { p : 0.5, d : 0.5 } moles 1.0",
+              "checkpoint s"]
+    lines += ["separate cell by povm lift t { z+, z- } into hi lo",
+              "join hi lo into cell",
+              "rotate cell map { e0 -> r0, e1 -> r1, e2 -> r2, e3 -> r3 }"] * rounds
+    lines.append("audit id from s")
+    return "\n".join(lines) + "\n"
+
+
+class TestGrowthProtocol:
+    """Every round would multiply the states a chamber kept by 4 if it kept
+    one per gas and outcome it came from; it keeps one."""
+
+    def test_each_separation_updates_one_state(self, monkeypatch):
+        sizes = []
+
+        def counting(povm, states):
+            sizes.append(len(states))
+            return updates(povm, states)
+
+        updates = quantum._updates
+        monkeypatch.setattr(quantum, "_updates", counting)
+        monkeypatch.setattr(thermo, "_updates", counting)
+        execute(parse(growth_protocol(12)))
+        assert sizes == [1] * 12
+
+    def test_heat_matches_the_per_gas_history(self):
+        # qTotal at 8 rounds when every chamber kept each gas's share and
+        # state separately: the one mean state must give the same heat
+        (verdict,) = execute(parse(growth_protocol(8))).verdicts
+        assert abs(verdict.q_total - -4.913050226135732) <= 1e-12

@@ -37,7 +37,6 @@ from qgas.errors import (
 from qgas.quantum import Povm, StatisticalMatrix, optimal_separation_povm
 from qgas.thermo import (
     Chamber,
-    GasComponent,
     LabState,
     Ledger,
     LedgerEvent,
@@ -61,8 +60,9 @@ def lab_with(*chambers, dim=2, t=1.0):
 
 
 def chamber(name, volume, parts):
-    contents = tuple(GasComponent(StatisticalMatrix(m), n) for m, n in parts)
-    return Chamber(name, volume, contents)
+    """A chamber filled with (matrix, moles) parts, as a protocol fill does."""
+    return thermo._mean_chamber(
+        name, volume, [(n, StatisticalMatrix(m)) for m, n in parts])
 
 
 def z_povm():
@@ -101,8 +101,6 @@ class TestIsothermalWork:
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_constructors_reject_non_finite(bad):
     with pytest.raises(DomainError, match="finite"):
-        GasComponent(StatisticalMatrix(Z_PLUS), bad)
-    with pytest.raises(DomainError, match="finite"):
         Chamber("c", bad)
     with pytest.raises(DomainError, match="finite"):
         LabState(bad, {}, 2)
@@ -130,6 +128,15 @@ def test_mix_overflowing_volume_rejected():
         mix(lab, "a", "b", z_povm())
 
 
+@pytest.mark.parametrize("moles, filled", [
+    (0.0, True), (1.0, False), (-1.0, True), (math.nan, True), (math.inf, True),
+], ids=["state-without-moles", "moles-without-state", "negative", "nan", "inf"])
+def test_chamber_holds_moles_exactly_when_filled(moles, filled):
+    state = StatisticalMatrix(Z_PLUS) if filled else None
+    with pytest.raises(DomainError, match=r"^chamber 'c' holds \S+ moles$"):
+        Chamber("c", 1.0, moles, state)
+
+
 class TestSeparate:
     def test_perfect_separation(self):
         lab = lab_with(chamber("cell", 1.0, [(Z_PLUS, 0.5), (Z_MINUS, 0.5)]))
@@ -138,8 +145,8 @@ class TestSeparate:
         top, bottom = new_lab.chambers["top"], new_lab.chambers["bottom"]
         assert top.volume == pytest.approx(0.5, abs=1e-12)
         assert bottom.volume == pytest.approx(0.5, abs=1e-12)
-        assert top.contents[0].state.close_to(StatisticalMatrix(Z_PLUS))
-        assert bottom.contents[0].state.close_to(StatisticalMatrix(Z_MINUS))
+        assert top.state.close_to(StatisticalMatrix(Z_PLUS))
+        assert bottom.state.close_to(StatisticalMatrix(Z_MINUS))
         assert event.heat_absorbed_by_gas == pytest.approx(-LN2, abs=1e-9)
 
     def test_partial_separation(self):
@@ -153,10 +160,10 @@ class TestSeparate:
         hi, lo = new_lab.chambers["hi"], new_lab.chambers["lo"]
         assert hi.volume == pytest.approx(P_HI, abs=1e-9)
         assert lo.volume == pytest.approx(P_LO, abs=1e-9)
-        # both input gases transform into the same output gases and merge
-        assert len(hi.contents) == 1
-        assert hi.contents[0].state.close_to(StatisticalMatrix(ALPHA_PLUS), tol=1e-10)
-        assert lo.contents[0].state.close_to(StatisticalMatrix(ALPHA_MINUS), tol=1e-10)
+        # the outcome's label names the post state
+        assert (hi.state.label, lo.state.label) == ("a+", "a-")
+        assert hi.state.close_to(StatisticalMatrix(ALPHA_PLUS), tol=1e-10)
+        assert lo.state.close_to(StatisticalMatrix(ALPHA_MINUS), tol=1e-10)
         assert event.heat_absorbed_by_gas == pytest.approx(-SEPARATION_HEAT, abs=1e-9)
 
     def test_deterministic_outcome_keeps_single_chamber(self):
@@ -166,12 +173,19 @@ class TestSeparate:
         assert new_lab.chambers["same"].volume == pytest.approx(1.0, abs=1e-12)
         assert event.heat_absorbed_by_gas == pytest.approx(0.0, abs=1e-12)
 
+    def test_outcome_of_prune_share_is_dropped(self):
+        # a z- probability of exactly PRUNE_TOL is round-off, not gas
+        p = linalg.PRUNE_TOL
+        lab = lab_with(Chamber("c", 1.0, 1.0, StatisticalMatrix(np.diag([1 - p, p]))))
+        new_lab, _ = separate(lab, "c", z_povm(), names=("kept", "dropped"))
+        assert list(new_lab.chambers) == ["kept"]
+
     def test_never_releases_negative_work(self, rng):
         for _ in range(25):
             rho, sigma = random_orthogonal_pair(rng, 2)
             w = float(rng.uniform(0.2, 0.8))
             lab = lab_with(
-                Chamber("c", 1.0, (GasComponent(rho, w), GasComponent(sigma, 1 - w)))
+                thermo._mean_chamber("c", 1.0, [(w, rho), (1 - w, sigma)])
             )
             povm = Povm((rho.matrix, np.eye(2) - rho.matrix))
             _, event = separate(lab, "c", povm)
@@ -182,7 +196,7 @@ class TestSeparate:
             u = random_unitary(rng, 8)
             povm = Povm.projective([u[:, i] for i in range(8)])
             gas = StatisticalMatrix.pure(skewed_ket(rng, u))
-            lab = lab_with(Chamber("c", 1.0, (GasComponent(gas, 1.0),)), dim=8)
+            lab = lab_with(Chamber("c", 1.0, 1.0, gas), dim=8)
             new_lab, event = separate(lab, "c", povm)
             assert len(new_lab.chambers) == 8
             assert event.heat_absorbed_by_gas < 0
@@ -195,10 +209,10 @@ class TestSeparate:
             u = random_unitary(rng, dim)
             noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             povm = Povm.projective(list((u + 1e-11 * noise).T))
-            parts = tuple(GasComponent(random_state(rng, dim), float(n))
-                          for n in rng.uniform(0.1, 2.0, size=3))
-            n_total = sum(c.moles for c in parts)
-            lab = lab_with(Chamber("c", 2.5, parts), dim=dim)
+            parts = [(float(n), random_state(rng, dim))
+                     for n in rng.uniform(0.1, 2.0, size=3)]
+            n_total = sum(n for n, _ in parts)
+            lab = lab_with(thermo._mean_chamber("c", 2.5, parts), dim=dim)
             new_lab, _ = separate(lab, "c", povm)
             chambers = new_lab.chambers.values()
             assert abs(sum(c.moles for c in chambers) - n_total) <= 1e-14 * n_total
@@ -212,11 +226,11 @@ class TestSeparate:
             for _ in range(int(rng.integers(1, 5))):
                 state = (StatisticalMatrix.pure(random_ket(rng, dim))
                          if rng.random() < 0.5 else random_state(rng, dim))
-                parts.append(GasComponent(state, float(rng.uniform(0.1, 2.0))))
-            n_total = sum(c.moles for c in parts)
+                parts.append((float(rng.uniform(0.1, 2.0)), state))
+            n_total = sum(n for n, _ in parts)
             t = float(rng.uniform(0.5, 3.0))
-            lab = lab_with(Chamber("c", 1.0, tuple(parts)), dim=dim, t=t)
-            aggregate = sum(c.moles * c.state.matrix for c in parts) / n_total
+            lab = lab_with(thermo._mean_chamber("c", 1.0, parts), dim=dim, t=t)
+            aggregate = sum(n * rho.matrix for n, rho in parts) / n_total
             p = np.linalg.eigvalsh(aggregate)
             entropy = -sum(x * math.log(x) for x in p if x > 0)
             povm = optimal_separation_povm(aggregate_state(lab.chamber("c")))
@@ -265,8 +279,10 @@ class TestMix:
         )
         new_lab, event = mix(lab, "a", "b", povm, name="cell")
         assert event.heat_absorbed_by_gas == pytest.approx(LN2, abs=1e-9)
-        # ground truth remembers both components
-        assert len(new_lab.chambers["cell"].contents) == 2
+        # the merged chamber holds the one mole-weighted mean state
+        cell = new_lab.chambers["cell"]
+        assert cell.moles == 1.0
+        assert np.array_equal(cell.state.matrix, 0.5 * pz + 0.5 * dx)
 
     def test_mix_indistinguishable_rejected(self):
         lab = lab_with(
@@ -287,8 +303,8 @@ class TestMix:
             rho, sigma = random_orthogonal_pair(rng, 4)
             na, nb = rng.uniform(0.2, 1.0, size=2)
             lab = lab_with(
-                Chamber("a", float(na), (GasComponent(rho, float(na)),)),
-                Chamber("b", float(nb), (GasComponent(sigma, float(nb)),)),
+                Chamber("a", float(na), float(na), rho),
+                Chamber("b", float(nb), float(nb), sigma),
                 dim=4,
             )
             povm = Povm((rho.matrix, np.eye(4) - rho.matrix))
@@ -301,7 +317,7 @@ class TestRotate:
         a_plus = [math.cos(math.pi / 8), math.sin(math.pi / 8)]
         lab = lab_with(chamber("c", 1.0, [(ALPHA_PLUS, 1.0)]))
         new_lab, event = rotate(lab, "c", rotation_unitary([(a_plus, E2[0])], 2), 1)
-        assert new_lab.chambers["c"].contents[0].state.close_to(
+        assert new_lab.chambers["c"].state.close_to(
             StatisticalMatrix(Z_PLUS), tol=1e-10
         )
         assert event.heat_absorbed_by_gas == 0.0
@@ -310,7 +326,7 @@ class TestRotate:
         lab = lab_with(chamber("c", 1.0, [(X_PLUS, 1.0)]))
         u = rotation_unitary([(E2[0], E2[0]), (E2[1], E2[1])], 2)
         new_lab, _ = rotate(lab, "c", u, 2)
-        assert new_lab.chambers["c"].contents[0].state.close_to(
+        assert new_lab.chambers["c"].state.close_to(
             StatisticalMatrix(X_PLUS)
         )
 
@@ -319,11 +335,11 @@ class TestRotate:
         pa = np.array([c8, s8, 0, 0])
         da = np.array([0, 0, c8, s8])
         state = 0.5 * np.outer(pa, pa) + 0.5 * np.outer(da, da)
-        lab = lab_with(Chamber("c", 1.0, (GasComponent(StatisticalMatrix(state), 1.0),)), dim=4)
+        lab = lab_with(Chamber("c", 1.0, 1.0, StatisticalMatrix(state)), dim=4)
         e = np.eye(4)
         new_lab, _ = rotate(lab, "c", rotation_unitary([(pa, e[0]), (da, e[2])], 4), 2)
         want = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
-        got = new_lab.chambers["c"].contents[0].state.matrix
+        got = new_lab.chambers["c"].state.matrix
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_partial_mapping_completed_on_canonical_axes(self):
@@ -361,7 +377,7 @@ class TestRotate:
             rotate(lab, "c", np.eye(4, dtype=complex), 2)
 
     def test_chamber_of_another_dimension_rejected(self):
-        ch = Chamber("c", 1.0, [GasComponent(StatisticalMatrix(np.eye(3) / 3), 1.0)])
+        ch = Chamber("c", 1.0, 1.0, StatisticalMatrix(np.eye(3) / 3))
         with pytest.raises(DimensionError, match="holds dim 3 gas in lab dim 2"):
             rotate(LabState(1.0, {"c": ch}, 2), "c", np.eye(2), 2)
 
@@ -403,7 +419,7 @@ class TestPartitionJoin:
         left, right = new_lab.chambers["l"], new_lab.chambers["r"]
         assert left.volume == right.volume == pytest.approx(0.5)
         assert left.moles == pytest.approx(0.5, abs=1e-12)
-        assert [c.moles for c in left.contents] == pytest.approx([0.3, 0.2])
+        assert left.state is right.state is lab.chambers["c"].state
         assert event.heat_absorbed_by_gas == 0.0
 
     def test_partition_then_join_restores(self):
@@ -412,8 +428,8 @@ class TestPartitionJoin:
         back, event = join(split, "l", "r", name="c")
         cell = back.chambers["c"]
         assert cell.volume == pytest.approx(1.0, abs=1e-12)
-        assert len(cell.contents) == 1
-        assert cell.contents[0].moles == pytest.approx(1.0, abs=1e-12)
+        assert cell.moles == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(cell.state.matrix, X_PLUS)
         assert event.heat_absorbed_by_gas == 0.0
 
     def test_join_then_partition_equivalent(self):
@@ -427,7 +443,7 @@ class TestPartitionJoin:
             ch = split.chambers[name]
             assert ch.volume == pytest.approx(0.5, abs=1e-12)
             assert ch.moles == pytest.approx(0.5, abs=1e-12)
-            assert ch.contents[0].state.close_to(StatisticalMatrix(Z_PLUS))
+            assert ch.state.close_to(StatisticalMatrix(Z_PLUS))
 
     def test_join_of_mixed_dimensions_rejected(self):
         lab = lab_with(chamber("a", 1.0, [(Z_PLUS, 1.0)]),
@@ -514,19 +530,20 @@ class TestCanonicalContents:
 
     def test_empty_chamber_rejected(self):
         with pytest.raises(EmptyChamberError):
-            canonical_contents(Chamber("c", 1.0, ()))
+            canonical_contents(Chamber("c", 1.0))
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
-def test_one_component_aggregate_is_the_formula(rng, dim):
+def test_one_part_mean_is_the_formula(rng, dim):
     n = 0.37
     public = random_state(rng, dim)
-    lab = lab_with(Chamber("c", 1.0, (GasComponent(public, n),)), dim=dim)
+    lab = lab_with(Chamber("c", 1.0, n, public), dim=dim)
     rotated, _ = rotate(lab, "c", random_unitary(rng, dim), dim)
-    derived = rotated.chambers["c"].contents[0].state
+    derived = rotated.chambers["c"].state
     for state in (public, derived):
-        agg = aggregate_state(Chamber("c", 1.0, (GasComponent(state, n),)))
-        assert np.array_equal(agg.matrix, linalg.hermitian_part((n / n) * state.matrix))
+        assert aggregate_state(Chamber("c", 1.0, n, state)) is state
+        mean = thermo._mean_chamber("c", 1.0, [(n, state)]).state
+        assert np.array_equal(mean.matrix, linalg.hermitian_part((n / n) * state.matrix))
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -582,8 +599,8 @@ class TestConservationAndReversibility:
             na, nb = rng.uniform(0.2, 1.0, size=2)
             # volumes at mole fraction: both chambers start at equal pressure
             lab = lab_with(
-                Chamber("a", float(na), (GasComponent(rho, float(na)),)),
-                Chamber("b", float(nb), (GasComponent(sigma, float(nb)),)),
+                Chamber("a", float(na), float(na), rho),
+                Chamber("b", float(nb), float(nb), sigma),
                 dim=dim,
             )
             povm = Povm((rho.matrix, np.eye(dim) - rho.matrix), ("r", "s"))
