@@ -30,9 +30,8 @@ print("tr(z+ z-) = 0, so the gases are distinguishable:",
 
 # the matching membranes: one passes z+, the other passes z-
 membranes = Povm.projective([[1, 0], [0, 1]], labels=("z+", "z-"))
-for outcome in measure(membranes, z_up):
-    print(f"  outcome p={outcome.probability:.3f}"
-          f" post={outcome.post_state}")
+for p, post in measure(membranes, z_up):
+    print(f"  outcome p={p:.3f} post={post}")
 
 # the work formula itself: compressing 1 mol into half its volume at T=1
 print("\nisothermal work for V -> V/2:", isothermal_work(1, 1, 1.0, 0.5))

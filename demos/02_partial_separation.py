@@ -34,7 +34,7 @@ for label, effect in zip(povm.outcome_labels, povm.effects):
     print(np.round(effect.real, 6))
 
 for rho in (z_plus, x_plus):
-    probs = [r.probability for r in measure(povm, rho)]
+    probs = [p for p, _ in measure(povm, rho)]
     print(f"outcome probabilities for {rho.label}-gas:",
           [round(p, 6) for p in probs])
 

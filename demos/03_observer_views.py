@@ -15,6 +15,7 @@ from qgas import (
     Povm,
     StatisticalMatrix,
     build_observer,
+    canonical_contents,
     coarse_grain,
     identity_observer,
     lift_through,
@@ -46,8 +47,9 @@ cell = Chamber("cell", 1.0, 1.0, StatisticalMatrix((p_z.matrix + d_x.matrix) / 2
 lab = LabState(1.0, {"cell": cell}, 4)
 
 print("\ntatiana's view of the mixed chamber:")
-for chamber_view in view(tatiana, lab).chambers:
-    for weight, state in chamber_view.mixture:
+# her view is a lab in her own 2-dim space
+for chamber in view(tatiana, lab).chambers.values():
+    for weight, state in canonical_contents(chamber):
         print(f"  {weight:.6f} of")
         print(np.round(state.matrix.real, 6))
 
@@ -59,7 +61,7 @@ lab_membranes = lift_through(tatiana, her_membranes)
 print("\nher a+ membrane, lifted to the lab (block diagonal):")
 print(np.round(lab_membranes.effects[0].real, 6))
 
-probs = [r.probability for r in measure(lab_membranes, p_z)]
+probs = [p for p, _ in measure(lab_membranes, p_z)]
 print("lifted membrane on species p in z+:", [round(p, 6) for p in probs])
 
 # equivalence is observer-relative: swap the species and tatiana cannot tell

@@ -30,9 +30,7 @@ from .errors import (
 )
 from .linalg import conjugate, hermitian_eig, trace_product
 from .observers import (
-    ChamberView,
     Observer,
-    ObserverView,
     build_observer,
     coarse_grain,
     identity_observer,
@@ -51,7 +49,6 @@ from .protocol import (
     run_demo,
 )
 from .quantum import (
-    OutcomeResult,
     Povm,
     StatisticalMatrix,
     are_orthogonal,
@@ -82,7 +79,6 @@ __all__ = [
     "AssertClosedError",
     "BasisError",
     "Chamber",
-    "ChamberView",
     "DEMO_NAMES",
     "DimensionError",
     "DomainError",
@@ -95,8 +91,6 @@ __all__ = [
     "LedgerEvent",
     "NotHermitianError",
     "Observer",
-    "ObserverView",
-    "OutcomeResult",
     "ParseError",
     "Povm",
     "PovmError",

@@ -26,7 +26,7 @@ from .errors import (
     QgasError,
 )
 from .observers import view
-from .thermo import LedgerEvent
+from .thermo import LedgerEvent, eigen_mixture
 
 
 @dataclass
@@ -55,12 +55,13 @@ def _cfmt(z: complex) -> str:
     return f"{real:.6g}{imag:+.6g}i"
 
 
-def _mixture_text(mixture) -> str:
-    if not mixture:
+def _contents_text(state) -> str:
+    """A view chamber's state as its eigen-mixture, one ket per term."""
+    if state is None:
         return "(empty)"
     terms = []
-    for weight, state in mixture:
-        _, vecs = linalg.hermitian_eig(state.matrix)
+    for weight, term in eigen_mixture(state):
+        _, vecs = linalg.hermitian_eig(term.matrix)
         ket = ", ".join(_cfmt(x) for x in vecs[:, 0])
         terms.append(f"{weight:.6g} * ({ket})")
     return "  +  ".join(terms)
@@ -118,8 +119,8 @@ def _render_table(result: protocol.ExecutionResult, observer_filter) -> str:
     for obs in names.values():
         lines.append(f"  observer {obs.name}:")
         lines.extend(f"    {ch.name}: V={ch.volume:.6g} n={ch.moles:.6g}"
-                     f"  {_mixture_text(ch.mixture)}"
-                     for ch in view(obs, result.final_state).chambers)
+                     f"  {_contents_text(ch.state)}"
+                     for ch in view(obs, result.final_state).chambers.values())
     return "\n".join(lines) + "\n"
 
 

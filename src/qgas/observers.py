@@ -9,6 +9,10 @@ Cross-sector coherences are dropped, which is exactly what "cannot tell the
 sectors apart" means operationally.  Membranes written in the observer's space
 reach the lab through the dual channel A -> sum_k V_k^dag A V_k.
 
+An observer's view of the lab is itself a lab state (``view``): the same
+chambers, volumes and moles, with every state coarse-grained into the
+observer's space, whose dimension is the view's lab dimension.
+
 The same machinery covers classical gases: two argon varieties are two
 orthogonal basis states of a 2-dimensional lab space, a species-blind
 observer maps both onto one description label (obs_dim 1), and the
@@ -24,7 +28,7 @@ import numpy as np
 from . import linalg
 from .errors import BasisError, DimensionError, EmbeddingError
 from .quantum import Povm, StatisticalMatrix
-from .thermo import Chamber, LabState, eigen_mixture
+from .thermo import Chamber, LabState
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,35 +132,15 @@ def lift_through(obs: Observer, povm: Povm) -> Povm:
     return Povm(lifted, povm.outcome_labels)
 
 
-@dataclass(frozen=True, eq=False)
-class ChamberView:
-    name: str
-    volume: float
-    moles: float
-    mixture: tuple[tuple[float, StatisticalMatrix], ...]
-
-
-@dataclass(frozen=True, eq=False)
-class ObserverView:
-    observer: str
-    chambers: tuple[ChamberView, ...]
-
-
-def _coarse_aggregate(obs: Observer, chamber: Chamber) -> StatisticalMatrix | None:
-    if chamber.state is None:
-        return None
-    return coarse_grain(obs, chamber.state)
-
-
-def view(obs: Observer, lab: LabState) -> ObserverView:
-    """What the lab looks like to this observer: per chamber, the coarse
-    aggregate state decomposed into its canonical eigen-mixture."""
-    views = []
-    for chamber in lab.chambers.values():
-        sigma = _coarse_aggregate(obs, chamber)
-        mixture = () if sigma is None else tuple(eigen_mixture(sigma))
-        views.append(ChamberView(chamber.name, chamber.volume, chamber.moles, mixture))
-    return ObserverView(obs.name, tuple(views))
+def view(obs: Observer, lab: LabState) -> LabState:
+    """What the lab looks like to this observer: the same chambers, each
+    filled one holding its state coarse-grained into the observer's space."""
+    chambers = {
+        name: Chamber(name, ch.volume, ch.moles,
+                      None if ch.state is None else coarse_grain(obs, ch.state))
+        for name, ch in lab.chambers.items()
+    }
+    return LabState(lab.temperature, chambers, obs.obs_dim)
 
 
 def equivalence_mismatch(obs: Observer, a: LabState, b: LabState,
@@ -177,10 +161,10 @@ def equivalence_mismatch(obs: Observer, a: LabState, b: LabState,
                     f" vs {chb.volume:.9g}")
         if abs(cha.moles - chb.moles) > moles_tol:
             return f"chamber {name!r} moles {cha.moles:.9g} vs {chb.moles:.9g}"
-        sa, sb = _coarse_aggregate(obs, cha), _coarse_aggregate(obs, chb)
-        if (sa is None) != (sb is None):
+        if (cha.state is None) != (chb.state is None):
             return f"chamber {name!r} is empty on one side only"
-        if sa is not None and not sa.close_to(sb, tol):
+        if cha.state is not None and not coarse_grain(obs, cha.state).close_to(
+                coarse_grain(obs, chb.state), tol):
             return f"chamber {name!r} contents differ for observer {obs.name!r}"
     return None
 

@@ -23,8 +23,8 @@ unitaries and observer sectors they apply are made exact once built
 read.  Outcome updates have one rule, the private ``_updates``: every
 effect of a POVM applied to a stack of states in one stacked product,
 each entry bit for bit the single-matrix A rho A^dag.  ``measure``
-normalizes those of one state into post states, and ``thermo.mix`` reads
-the traces of two.
+normalizes those of one state into (probability, post state) pairs, and
+``thermo.mix`` reads the traces of two.
 
 The best separating membranes (``optimal_separation_povm``) are a function
 of a chamber's aggregate state alone: the projectors of
@@ -114,17 +114,16 @@ class Povm:
     Each effect is the operator A whose outcome update is rho -> A rho A^dag;
     construction checks that all effects share one dimension and satisfy
     sum A^dag A = identity within linalg.ORTHONORMAL_TOL entrywise, then
-    keeps the polar factor of the effects it checked, for which the sum is
-    the identity to round-off, as one read-only (k, d, d) stack whose
-    slices are the effects.
+    keeps as ``effects`` the polar factor of the effects it checked, for
+    which the sum is the identity to round-off: one read-only (k, d, d)
+    array whose slices are the effects.
     """
 
-    effects: tuple[np.ndarray, ...]
+    effects: np.ndarray
     outcome_labels: tuple[str, ...] = field(default=())
-    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        effects = tuple(linalg.as_matrix(a) for a in self.effects)
+        effects = [linalg.as_matrix(a) for a in self.effects]
         if not effects:
             raise PovmError("a POVM needs at least one effect")
         dim = effects[0].shape[0]
@@ -137,14 +136,13 @@ class Povm:
         labels = self.outcome_labels or tuple(str(i) for i in range(len(effects)))
         if len(labels) != len(effects):
             raise PovmError("need one outcome label per effect")
-        stack = stacked.reshape(len(effects), dim, dim)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "effects", tuple(stack))
+        object.__setattr__(self, "effects",
+                           stacked.reshape(len(effects), dim, dim))
         object.__setattr__(self, "outcome_labels", tuple(labels))
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     def __len__(self):
         return len(self.effects)
@@ -159,15 +157,6 @@ class Povm:
         return f"<povm {{{', '.join(self.outcome_labels)}}} dim={self.dim}>"
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeResult:
-    """One measurement outcome: its probability and, when the probability is
-    not negligible, the updated state."""
-
-    probability: float
-    post_state: StatisticalMatrix | None
-
-
 def _updates(povm: Povm, states) -> tuple[np.ndarray, np.ndarray]:
     """A_i rho_j A_i^dag for every effect A_i of the POVM and each of a
     non-empty sequence of states rho_j, in one stacked product: a (states,
@@ -175,19 +164,21 @@ def _updates(povm: Povm, states) -> tuple[np.ndarray, np.ndarray]:
     for rho in states:
         if rho.dim != povm.dim:
             raise DimensionError(f"povm dim {povm.dim} vs state dim {rho.dim}")
-    e = povm._stack
+    e = povm.effects
     raw = e @ np.array([rho.matrix for rho in states])[:, None] \
         @ e.conj().swapaxes(-1, -2)
     return raw, raw.trace(axis1=-2, axis2=-1).real
 
 
-def measure(povm: Povm, rho: StatisticalMatrix) -> list[OutcomeResult]:
+def measure(povm: Povm, rho: StatisticalMatrix
+            ) -> list[tuple[float, StatisticalMatrix | None]]:
     """Apply every effect of the POVM to rho.
 
-    Outcome i carries probability tr(A_i rho A_i^dag) and the normalized
-    post state, labelled by the outcome; outcomes with probability below
-    linalg.ZERO_PROB carry no post state (there is nothing left to
-    normalize).  Post-state traces are checked in outcome order.
+    Outcome i is the pair (probability, post state): tr(A_i rho A_i^dag)
+    and the normalized post state, labelled by the outcome; outcomes with
+    probability below linalg.ZERO_PROB have None for a post state (there is
+    nothing left to normalize).  Post-state traces are checked in outcome
+    order.
     """
     (raw,), (traces,) = _updates(povm, [rho])
     kept = traces >= linalg.ZERO_PROB
@@ -195,7 +186,7 @@ def measure(povm: Povm, rho: StatisticalMatrix) -> list[OutcomeResult]:
         raw[kept] / traces[kept][:, None, None],
         [povm.outcome_labels[i] for i in kept.nonzero()[0].tolist()]))
     # tr may pass 1 by round-off
-    return [OutcomeResult(min(max(tr, 0.0), 1.0), next(posts) if keep else None)
+    return [(min(max(tr, 0.0), 1.0), next(posts) if keep else None)
             for tr, keep in zip(traces.tolist(), kept.tolist())]
 
 

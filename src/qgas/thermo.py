@@ -5,7 +5,9 @@ total at temperature 1, so every ledger entry is directly the dimensionless
 coefficient of nRT.  All processes are isothermal, hence for every event the
 heat absorbed by the gas equals the work it performs:
 
-    W = n R T ln(Vf / Vi) = Q.
+    W = n R T ln(Vf / Vi) = Q,
+
+so an event stores Q alone and reads W back as Q.
 
 A chamber holds its gas as a mole count and one density matrix, the
 mole-weighted mean of everything that went into it.  One matrix suffices:
@@ -79,9 +81,6 @@ def _mean_chamber(name: str, volume: float, parts) -> Chamber:
         return Chamber(name, volume)
     n = sum(moles for moles, _ in parts)
     _check_moles(name, n, True)
-    dims = {rho.dim for _, rho in parts}
-    if len(dims) > 1:
-        raise DimensionError(f"components of {name!r} mix dimensions {dims}")
     m = sum((moles / n) * rho.matrix for moles, rho in parts)
     labels = {rho.label for _, rho in parts}
     label = labels.pop() if len(labels) == 1 else None
@@ -100,7 +99,8 @@ def check_temperature(t: float) -> None:
 @dataclass(frozen=True, eq=False)
 class LabState:
     """Everything in the lab: temperature, named chambers, and the Hilbert
-    dimension of the ground-truth description."""
+    dimension of the ground-truth description, which every filled
+    chamber's state has."""
 
     temperature: float
     chambers: dict[str, Chamber]
@@ -108,6 +108,10 @@ class LabState:
 
     def __post_init__(self):
         check_temperature(self.temperature)
+        for ch in self.chambers.values():
+            if ch.state is not None and ch.state.dim != self.lab_dim:
+                raise DimensionError(f"chamber {ch.name!r} holds dim"
+                                     f" {ch.state.dim} gas in lab dim {self.lab_dim}")
 
     def chamber(self, name: str) -> Chamber:
         try:
@@ -121,13 +125,11 @@ class LabState:
 
 @dataclass(frozen=True)
 class LedgerEvent:
-    """One protocol step with its work/heat bookkeeping (Q == W always,
-    isothermal ideal gas)."""
+    """One protocol step with the heat the gas absorbed in it."""
 
     step_index: int
     kind: str
     heat_absorbed_by_gas: float
-    work_done_by_gas: float
     description: str
 
     def __post_init__(self):
@@ -138,13 +140,11 @@ class LedgerEvent:
         if 0 < abs(self.heat_absorbed_by_gas) < sys.float_info.min:
             raise DomainError(f"heat must be 0 or at least {sys.float_info.min!r}"
                               f" in size, got {self.heat_absorbed_by_gas!r}")
-        if self.heat_absorbed_by_gas != self.work_done_by_gas:
-            raise DomainError("isothermal events must satisfy Q == W")
 
-    @classmethod
-    def isothermal(cls, step_index: int, kind: str, q: float,
-                   description: str) -> "LedgerEvent":
-        return cls(step_index, kind, q, q, description)
+    @property
+    def work_done_by_gas(self) -> float:
+        """W = Q: an isothermal ideal gas keeps its internal energy."""
+        return self.heat_absorbed_by_gas
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,7 @@ class Ledger:
         self.events.append(event)
 
     def checkpoint(self, label: str, state: LabState, step_index: int) -> LedgerEvent:
-        event = LedgerEvent.isothermal(
-            step_index, "checkpoint", 0.0, f"checkpoint {label}"
-        )
+        event = LedgerEvent(step_index, "checkpoint", 0.0, f"checkpoint {label}")
         self.append(event)
         self.checkpoints[label] = Checkpoint(step_index, state)
         return event
@@ -226,7 +224,9 @@ def canonical_contents(chamber: Chamber) -> list[tuple[float, StatisticalMatrix]
 
 def _replace_chambers(lab: LabState, removed, added) -> LabState:
     """New lab state with ``removed`` chamber names replaced by the ``added``
-    chambers, inserted where the first removed chamber sat."""
+    chambers, inserted where the first removed chamber sat.  The steps
+    build added states from lab states only, so every one already has
+    lab_dim: the new lab is not checked again."""
     names = lab.chambers.keys() - removed
     for new in added:
         if new.name in names:
@@ -239,7 +239,10 @@ def _replace_chambers(lab: LabState, removed, added) -> LabState:
         elif added:
             out.update((new.name, new) for new in added)
             added = ()
-    return LabState(lab.temperature, out, lab.lab_dim)
+    derived = object.__new__(LabState)
+    derived.__dict__.update(temperature=lab.temperature, chambers=out,
+                            lab_dim=lab.lab_dim)
+    return derived
 
 
 def _check_povm_dim(lab: LabState, povm: Povm) -> None:
@@ -249,21 +252,19 @@ def _check_povm_dim(lab: LabState, povm: Povm) -> None:
         )
 
 
-def separate(lab: LabState, chamber: str, povm: Povm, names=None,
+def separate(lab: LabState, chamber: str, povm: Povm, names,
              step_index: int = 0) -> tuple[LabState, LedgerEvent]:
     """Drive the membranes of ``povm`` through a chamber.
 
     Outcome i of ``measure`` on the chamber's state, of probability f_i,
     takes the share f_i of its moles in the outcome's post state into its
-    own chamber of volume f_i * V, so all final pressures are equal;
-    outcomes with negligible share are dropped.  The gas does work
+    own chamber ``names[i]`` of volume f_i * V, so all final pressures are
+    equal; outcomes with negligible share are dropped.  The gas does work
     W = Q = sum_i n_i T ln f_i <= 0 (heat is released).
     """
     ch = lab.chamber(chamber)
     _check_povm_dim(lab, povm)
     rho = aggregate_state(ch)
-    if names is None:
-        names = [f"{chamber}.{label}" for label in povm.outcome_labels]
     if len(names) != len(povm.effects):
         raise DomainError(
             f"need {len(povm.effects)} outcome names, got {len(names)}"
@@ -273,26 +274,25 @@ def separate(lab: LabState, chamber: str, povm: Povm, names=None,
     new_chambers = []
     q = 0.0
     parts = []
-    for name, outcome in zip(names, measure(povm, rho)):
-        fraction = outcome.probability
+    for name, (fraction, post) in zip(names, measure(povm, rho)):
         if fraction <= linalg.PRUNE_TOL:
             continue
         moles_i = fraction * ch.moles
         q += moles_i * R * t * math.log(fraction)
-        new_chambers.append(Chamber(name, fraction * ch.volume, moles_i,
-                                    outcome.post_state))
+        new_chambers.append(Chamber(name, fraction * ch.volume, moles_i, post))
         parts.append(f"{name}({fraction:.6g}V)")
 
     new_lab = _replace_chambers(lab, [chamber], new_chambers)
     desc = f"separate {chamber} by {{{', '.join(povm.outcome_labels)}}}" \
            f" into {', '.join(parts)}"
-    return new_lab, LedgerEvent.isothermal(step_index, "separate", q, desc)
+    return new_lab, LedgerEvent(step_index, "separate", q, desc)
 
 
-def mix(lab: LabState, a: str, b: str, povm: Povm, name=None,
+def mix(lab: LabState, a: str, b: str, povm: Povm, name: str,
         step_index: int = 0,
         tol: float = linalg.CLOSURE_TOL) -> tuple[LabState, LedgerEvent]:
-    """Reversibly merge two chambers using membranes that tell them apart.
+    """Reversibly merge two chambers into one named ``name``, using
+    membranes that tell them apart.
 
     Each effect must pass one chamber's aggregate with probability one and
     block the other's with probability zero (within tol); otherwise the
@@ -318,12 +318,11 @@ def mix(lab: LabState, a: str, b: str, povm: Povm, name=None,
     t = lab.temperature
     q = (cha.moles * R * t * math.log(volume / cha.volume)
          + chb.moles * R * t * math.log(volume / chb.volume))
-    name = name or f"{a}+{b}"
     merged = _mean_chamber(name, volume, [(cha.moles, cha.state),
                                           (chb.moles, chb.state)])
     new_lab = _replace_chambers(lab, [a, b], [merged])
     desc = f"mix {a} + {b} into {name} by {{{', '.join(povm.outcome_labels)}}}"
-    return new_lab, LedgerEvent.isothermal(step_index, "mix", q, desc)
+    return new_lab, LedgerEvent(step_index, "mix", q, desc)
 
 
 def rotation_unitary(mapping, dim: int) -> np.ndarray:
@@ -367,9 +366,6 @@ def rotate(lab: LabState, chamber: str, u: np.ndarray, mapped: int,
         raise DimensionError(
             f"rotation of shape {u.shape} does not act on lab dim {lab.lab_dim}"
         )
-    if ch.state is not None and ch.state.dim != lab.lab_dim:
-        raise DimensionError(f"chamber {chamber!r} holds dim"
-                             f" {ch.state.dim} gas in lab dim {lab.lab_dim}")
     _check_unitary(u.shape, u.dtype.str, u.tobytes())
     # an unfilled chamber stays unfilled
     state = None if ch.state is None else StatisticalMatrix._derived(
@@ -377,38 +373,37 @@ def rotate(lab: LabState, chamber: str, u: np.ndarray, mapped: int,
     rotated = Chamber(ch.name, ch.volume, ch.moles, state)
     new_lab = _replace_chambers(lab, [chamber], [rotated])
     desc = f"rotate {chamber} by a {mapped}-ket mapping"
-    return new_lab, LedgerEvent.isothermal(step_index, "rotate", 0.0, desc)
+    return new_lab, LedgerEvent(step_index, "rotate", 0.0, desc)
 
 
-def partition(lab: LabState, chamber: str, fraction: float, names=None,
+def partition(lab: LabState, chamber: str, fraction: float, names,
               step_index: int = 0) -> tuple[LabState, LedgerEvent]:
-    """Insert an impermeable wall at the given volume fraction.  Both sides
-    inherit the same composition, scaled in moles; Q = W = 0."""
+    """Insert an impermeable wall at the given volume fraction, into the
+    chambers ``names``.  Both sides inherit the same composition, scaled in
+    moles; Q = W = 0."""
     ch = lab.chamber(chamber)
     if not 0.0 < fraction < 1.0:
         raise DomainError(f"fraction must lie in (0, 1), got {fraction}")
-    if names is None:
-        names = (f"{chamber}.0", f"{chamber}.1")
     if len(names) != 2:
         raise DomainError("partition needs exactly two chamber names")
     halves = [Chamber(part_name, f * ch.volume, ch.moles * f, ch.state)
               for part_name, f in zip(names, (fraction, 1.0 - fraction))]
     new_lab = _replace_chambers(lab, [chamber], halves)
     desc = f"partition {chamber} at {fraction:.6g} into {names[0]}, {names[1]}"
-    return new_lab, LedgerEvent.isothermal(step_index, "partition", 0.0, desc)
+    return new_lab, LedgerEvent(step_index, "partition", 0.0, desc)
 
 
-def join(lab: LabState, a: str, b: str, name=None,
+def join(lab: LabState, a: str, b: str, name: str,
          step_index: int = 0) -> tuple[LabState, LedgerEvent]:
-    """Remove the wall between two chambers.  Bookkeeping records no work
+    """Remove the wall between two chambers, leaving one named ``name``.
+    Bookkeeping records no work
     for wall removal itself; any thermodynamic consequence of the resulting
     diffusion only ever shows up through later membrane operations."""
     if a == b:
         raise DomainError("cannot join a chamber with itself")
     cha, chb = lab.chamber(a), lab.chamber(b)
-    name = name or f"{a}+{b}"
     merged = _mean_chamber(name, cha.volume + chb.volume,
                            [(cha.moles, cha.state), (chb.moles, chb.state)])
     new_lab = _replace_chambers(lab, [a, b], [merged])
     desc = f"join {a} + {b} into {name}"
-    return new_lab, LedgerEvent.isothermal(step_index, "join", 0.0, desc)
+    return new_lab, LedgerEvent(step_index, "join", 0.0, desc)

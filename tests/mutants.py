@@ -1,4 +1,5 @@
-"""Mutation check of the chamber core: tier-1 must fail on every mutant.
+"""Mutation check of the chamber core and observer views: tier-1 must
+fail on every mutant.
 
 Each entry of MUTANTS is (file under src/qgas, exact old text, new text,
 the invariant the mutant breaks).  For each one the runner copies ``src/``
@@ -57,6 +58,20 @@ MUTANTS = [
      "passes_a = pa >= 1.0 - tol and pb <= tol",
      "passes_a = pa >= 1.0 and pb <= tol",
      "mix allows round-off of tol below certainty"),
+    ("observers.py",
+     "Chamber(name, ch.volume, ch.moles,",
+     "Chamber(name, ch.volume, ch.volume,",
+     "a view chamber holds the lab chamber's moles"),
+    ("observers.py",
+     "None if ch.state is None else coarse_grain(obs, ch.state))",
+     "ch.state)",
+     "a view chamber holds the coarse-grained state"),
+    ("thermo.py",
+     "            if ch.state is not None and ch.state.dim != self.lab_dim:\n"
+     "                raise DimensionError(",
+     "            if False:\n"
+     "                raise DimensionError(",
+     "a lab rejects a chamber whose state is not of its lab_dim"),
 ]
 
 

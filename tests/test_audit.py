@@ -41,9 +41,9 @@ def test_audit_totals_span_after_checkpoint():
     lab = simple_lab()
     ledger = Ledger()
     ledger.checkpoint("start", lab, 0)
-    ledger.append(LedgerEvent.isothermal(1, "mix", 0.4, "m"))
+    ledger.append(LedgerEvent(1, "mix", 0.4, "m"))
     ledger.checkpoint("mid", lab, 2)
-    ledger.append(LedgerEvent.isothermal(3, "separate", -0.1, "s"))
+    ledger.append(LedgerEvent(3, "separate", -0.1, "s"))
     obs = identity_observer(2)
     verdict = audit(ledger, obs, "start", lab)
     assert verdict.q_total == pytest.approx(0.3, abs=1e-15)
@@ -60,14 +60,14 @@ def test_audit_additive_over_intermediate_checkpoint(rng):
     step = 1
     for _ in range(7):
         ledger.append(
-            LedgerEvent.isothermal(step, "mix", float(rng.normal()), "e")
+            LedgerEvent(step, "mix", float(rng.normal()), "e")
         )
         step += 1
     ledger.checkpoint("c2", lab, step)
     step += 1
     for _ in range(5):
         ledger.append(
-            LedgerEvent.isothermal(step, "separate", float(rng.normal()), "e")
+            LedgerEvent(step, "separate", float(rng.normal()), "e")
         )
         step += 1
     total = ledger.q_total_since("c1")
@@ -84,7 +84,7 @@ def test_audit_with_different_temperature():
     lab = LabState(2.0, {"c": cell}, 2)
     ledger = Ledger()
     ledger.checkpoint("start", lab, 0)
-    ledger.append(LedgerEvent.isothermal(1, "mix", 1.0, "m"))
+    ledger.append(LedgerEvent(1, "mix", 1.0, "m"))
     verdict = audit(ledger, identity_observer(2), "start", lab)
     assert verdict.q_total == pytest.approx(1.0)
     assert verdict.q_over_t == pytest.approx(0.5)

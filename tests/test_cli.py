@@ -105,7 +105,7 @@ class TestRecordsFormat:
         assert verdicts[0]["observer"] == "tatiana"
 
     def test_record_format_sig_digits(self):
-        event = LedgerEvent.isothermal(3, "separate", -SEPARATION_HEAT, 'with "quotes"')
+        event = LedgerEvent(3, "separate", -SEPARATION_HEAT, 'with "quotes"')
         record = _event_record(event)
         assert record.startswith("event step=3 kind=separate q=-0.4164955307 ")
         assert '\\"quotes\\"' in record
@@ -131,7 +131,7 @@ class TestRecordsFormat:
         'q=1 w=2 desc="x" \\\\"',
     ])
     def test_description_round_trip(self, desc):
-        event = LedgerEvent.isothermal(7, "join", 0.25, desc)
+        event = LedgerEvent(7, "join", 0.25, desc)
         (parsed,) = parse_records(_event_record(event))
         assert parsed["desc"] == desc
         assert (parsed["step"], parsed["q"], parsed["w"]) == (7, 0.25, 0.25)
@@ -140,7 +140,7 @@ class TestRecordsFormat:
         alphabet = list('\\" =qw12a')
         for _ in range(300):
             desc = "".join(rng.choice(alphabet, size=int(rng.integers(0, 12))))
-            event = LedgerEvent.isothermal(1, "mix", -0.5, desc)
+            event = LedgerEvent(1, "mix", -0.5, desc)
             (parsed,) = parse_records(_event_record(event))
             assert (parsed["desc"], parsed["q"]) == (desc, -0.5)
 

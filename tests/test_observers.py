@@ -28,7 +28,7 @@ from qgas.observers import (
     view,
 )
 from qgas.quantum import Povm, StatisticalMatrix, measure
-from qgas.thermo import Chamber, LabState
+from qgas.thermo import Chamber, LabState, canonical_contents
 
 E4 = np.eye(4, dtype=complex)
 E2 = np.eye(2, dtype=complex)
@@ -133,9 +133,8 @@ class TestLiftConsistency:
             rho_obs = random_state(rng, obs_dim)
             v = obs.sector_isometries[sector]
             rho_lab = StatisticalMatrix(v.conj().T @ rho_obs.matrix @ v)
-            got = [r.probability for r in measure(lifted, rho_lab)]
-            want = [r.probability
-                    for r in measure(povm, coarse_grain(obs, rho_lab))]
+            got = [p for p, _ in measure(lifted, rho_lab)]
+            want = [p for p, _ in measure(povm, coarse_grain(obs, rho_lab))]
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_sectors_may_realize_different_bases(self):
@@ -149,9 +148,8 @@ class TestLiftConsistency:
         for v in obs.sector_isometries:
             for rho_obs in (StatisticalMatrix(Z_PLUS), StatisticalMatrix(MIXTURE)):
                 rho_lab = StatisticalMatrix(v.conj().T @ rho_obs.matrix @ v)
-                got = [r.probability for r in measure(lifted, rho_lab)]
-                want = [r.probability
-                        for r in measure(povm, coarse_grain(obs, rho_lab))]
+                got = [p for p, _ in measure(lifted, rho_lab)]
+                want = [p for p, _ in measure(povm, coarse_grain(obs, rho_lab))]
                 assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -194,8 +192,8 @@ class TestLiftThrough:
         lifted = lift_through(obs, apovm())
         for v in obs.sector_isometries:
             rho_lab = StatisticalMatrix(v.conj().T @ rho_obs.matrix @ v)
-            got = [r.probability for r in measure(lifted, rho_lab)]
-            want = [r.probability for r in measure(apovm(), rho_obs)]
+            got = [p for p, _ in measure(lifted, rho_lab)]
+            want = [p for p, _ in measure(apovm(), rho_obs)]
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_short_sector_rejected(self):
@@ -213,32 +211,52 @@ class TestLiftThrough:
 
 
 class TestView:
+    def test_view_is_the_coarse_grained_lab(self, rng):
+        lab = lab_of([Chamber("a", 2.0, 0.75, random_state(rng, 4)),
+                      Chamber("empty", 0.5),
+                      Chamber("b", 0.25, 1.5, pure4(3))], 4)
+        for obs in (tatiana(), identity_observer(4)):
+            seen = view(obs, lab)
+            assert isinstance(seen, LabState)
+            assert seen.temperature == lab.temperature
+            assert seen.lab_dim == obs.obs_dim
+            assert list(seen.chambers) == list(lab.chambers)
+            for name, ch in lab.chambers.items():
+                chv = seen.chambers[name]
+                assert (chv.name, chv.volume, chv.moles) == \
+                    (name, ch.volume, ch.moles)
+                if ch.state is None:
+                    assert chv.state is None
+                else:
+                    assert np.array_equal(chv.state.matrix,
+                                          coarse_grain(obs, ch.state).matrix)
+
     def test_tatiana_sees_alpha_mixture(self):
         d_x = StatisticalMatrix.pure((E4[2] + E4[3]) / R2)
         mixed = Chamber("cell", 1.0, 1.0,
                         StatisticalMatrix((pure4(0).matrix + d_x.matrix) / 2))
         result = view(tatiana(), lab_of([mixed], 4))
-        (chv,) = result.chambers
+        (chv,) = result.chambers.values()
         assert chv.volume == 1.0
         assert chv.moles == pytest.approx(1.0)
-        weights = [w for w, _ in chv.mixture]
+        mixture = canonical_contents(chv)
+        weights = [w for w, _ in mixture]
         assert weights == pytest.approx([P_HI, P_LO], abs=1e-10)
-        assert chv.mixture[0][1].close_to(StatisticalMatrix(ALPHA_PLUS), tol=1e-10)
+        assert mixture[0][1].close_to(StatisticalMatrix(ALPHA_PLUS), tol=1e-10)
 
     def test_johann_sees_the_same_argon_everywhere(self):
         up = Chamber("up", 0.5, 0.5, StatisticalMatrix(Z_PLUS))
         low = Chamber("low", 0.5, 0.5, StatisticalMatrix(Z_MINUS))
         result = view(johann(), lab_of([up, low], 2))
-        for chv in result.chambers:
-            assert len(chv.mixture) == 1
-            assert chv.mixture[0][0] == pytest.approx(1.0, abs=1e-12)
-            assert chv.mixture[0][1].dim == 1
+        for chv in result.chambers.values():
+            ((weight, state),) = canonical_contents(chv)
+            assert weight == pytest.approx(1.0, abs=1e-12)
+            assert state.dim == 1
 
     def test_identity_view_returns_lab_aggregate(self):
         cell = Chamber("c", 2.0, 1.0, StatisticalMatrix(MIXTURE))
         result = view(identity_observer(2), lab_of([cell], 2))
-        (chv,) = result.chambers
-        recon = sum(w * s.matrix for w, s in chv.mixture)
+        recon = sum(w * s.matrix for w, s in canonical_contents(result.chamber("c")))
         assert np.max(np.abs(recon - MIXTURE)) < 1e-10
 
 

@@ -121,26 +121,35 @@ class TestPovm:
         assert p.outcome_labels == ("z+", "z-")
         assert len(Povm((np.eye(2),)).outcome_labels) == 1
 
+    def test_effects_are_one_read_only_stack(self):
+        p = apovm()
+        assert isinstance(p.effects, np.ndarray)
+        assert p.effects.shape == (2, 2, 2)
+        assert not p.effects.flags.writeable
+        with pytest.raises(ValueError):
+            p.effects[0, 0, 0] = 0.5
+        assert np.allclose(p.effects[0], sm(ALPHA_PLUS).matrix, atol=1e-12)
+
 
 class TestMeasure:
     def test_projective_on_eigenstate(self):
         results = measure(zpovm(), sm(Z_PLUS))
-        assert results[0].probability == pytest.approx(1.0, abs=1e-12)
-        assert results[0].post_state.close_to(sm(Z_PLUS))
-        assert results[1].probability == pytest.approx(0.0, abs=1e-12)
-        assert results[1].post_state is None
+        assert results[0][0] == pytest.approx(1.0, abs=1e-12)
+        assert results[0][1].close_to(sm(Z_PLUS))
+        assert results[1][0] == pytest.approx(0.0, abs=1e-12)
+        assert results[1][1] is None
 
     def test_alpha_membranes_on_z(self):
         results = measure(apovm(), sm(Z_PLUS))
-        assert results[0].probability == pytest.approx(P_HI, abs=1e-12)
-        assert results[1].probability == pytest.approx(P_LO, abs=1e-12)
-        assert results[0].post_state.close_to(sm(ALPHA_PLUS), tol=1e-10)
-        assert results[1].post_state.close_to(sm(ALPHA_MINUS), tol=1e-10)
+        assert results[0][0] == pytest.approx(P_HI, abs=1e-12)
+        assert results[1][0] == pytest.approx(P_LO, abs=1e-12)
+        assert results[0][1].close_to(sm(ALPHA_PLUS), tol=1e-10)
+        assert results[1][1].close_to(sm(ALPHA_MINUS), tol=1e-10)
 
     def test_alpha_membranes_on_x(self):
         results = measure(apovm(), sm(X_PLUS))
-        assert results[0].probability == pytest.approx(P_HI, abs=1e-12)
-        assert results[1].probability == pytest.approx(P_LO, abs=1e-12)
+        assert results[0][0] == pytest.approx(P_HI, abs=1e-12)
+        assert results[1][0] == pytest.approx(P_LO, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -153,7 +162,7 @@ class TestMeasure:
             total = sum(a.conj().T @ a for a in povm.effects)
             assert np.max(np.abs(total - np.eye(dim))) <= 1e-10
             results = measure(povm, random_state(rng, dim))
-            probs = [r.probability for r in results]
+            probs = [p for p, _ in results]
             assert all(0.0 <= p <= 1.0 for p in probs)
             assert abs(sum(probs) - 1.0) <= 1e-10
 
@@ -161,9 +170,9 @@ class TestMeasure:
         for _ in range(50):
             dim = int(rng.choice([2, 4]))
             povm = random_povm(rng, dim, 3)
-            for r in measure(povm, random_state(rng, dim)):
-                if r.post_state is not None:
-                    assert abs(np.trace(r.post_state.matrix) - 1) < 1e-10
+            for _, post in measure(povm, random_state(rng, dim)):
+                if post is not None:
+                    assert abs(np.trace(post.matrix) - 1) < 1e-10
 
     def test_small_probability_post_states(self, rng):
         # a rho a^dag carries round-off of ~1e-18, so dividing it by a
@@ -173,18 +182,18 @@ class TestMeasure:
             u = random_unitary(rng, 8)
             povm = Povm.projective([u[:, i] for i in range(8)])
             results = measure(povm, StatisticalMatrix.pure(skewed_ket(rng, u)))
-            for i, r in enumerate(results):
-                assert r.post_state.close_to(StatisticalMatrix.pure(u[:, i]), tol=1e-7)
+            for i, (_, post) in enumerate(results):
+                assert post.close_to(StatisticalMatrix.pure(u[:, i]), tol=1e-7)
 
     def test_outcome_read_past_one_is_normalized_by_its_trace(self):
         # complete within ORTHONORMAL_TOL, this effect reads a trace of
         # 1 + 5e-11; dividing by the probability clamped to 1 failed the
         # post state's trace check
         povm = Povm((np.sqrt(1 + 5e-11) * np.diag([1, 0]), np.diag([0, 1.0])))
-        up, down = measure(povm, sm(np.diag([1.0, 0])))
-        assert up.probability == 1.0
-        assert np.trace(up.post_state.matrix) == pytest.approx(1.0, abs=1e-15)
-        assert down.post_state is None
+        (p_up, up), (_, down) = measure(povm, sm(np.diag([1.0, 0])))
+        assert p_up == 1.0
+        assert np.trace(up.matrix) == pytest.approx(1.0, abs=1e-15)
+        assert down is None
 
 
 class TestOrthogonality:
