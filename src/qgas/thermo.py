@@ -224,9 +224,7 @@ def canonical_contents(chamber: Chamber) -> list[tuple[float, StatisticalMatrix]
 
 def _replace_chambers(lab: LabState, removed, added) -> LabState:
     """New lab state with ``removed`` chamber names replaced by the ``added``
-    chambers, inserted where the first removed chamber sat.  The steps
-    build added states from lab states only, so every one already has
-    lab_dim: the new lab is not checked again."""
+    chambers, inserted where the first removed chamber sat."""
     names = lab.chambers.keys() - removed
     for new in added:
         if new.name in names:
@@ -239,10 +237,7 @@ def _replace_chambers(lab: LabState, removed, added) -> LabState:
         elif added:
             out.update((new.name, new) for new in added)
             added = ()
-    derived = object.__new__(LabState)
-    derived.__dict__.update(temperature=lab.temperature, chambers=out,
-                            lab_dim=lab.lab_dim)
-    return derived
+    return LabState(lab.temperature, out, lab.lab_dim)
 
 
 def _check_povm_dim(lab: LabState, povm: Povm) -> None:
