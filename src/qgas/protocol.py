@@ -265,7 +265,8 @@ class _Cursor:
 class _Run:
     """What one execute call threads through its statements: the stage the
     declarations build, the lab and ledger the steps advance, and the
-    membranes and rotations built so far.  Those depend on the
+    membranes and rotations built so far, each a Povm keyed by its PovmRef
+    or its rotation's ket mapping.  Those depend on the
     declarations alone, so each distinct one is built and checked at the
     first step that uses it, then reused by every later step naming it."""
 
@@ -280,8 +281,7 @@ class _Run:
         self.lab: LabState | None = None
         self.ledger = Ledger()
         self.verdicts: list[Verdict] = []
-        self.povms: dict[PovmRef, Povm] = {}
-        self.unitaries: dict[tuple, np.ndarray] = {}
+        self.operators: dict[PovmRef | tuple, Povm] = {}
 
     def space_dim(self, what: str) -> int:
         if self.dim is None:
@@ -532,13 +532,13 @@ class PovmRef:
         return f"povm {lift}{{ {', '.join(self.kets)} }}"
 
     def resolve(self, ctx: _Run) -> Povm:
-        if self not in ctx.povms:
+        if self not in ctx.operators:
             povm = Povm.projective([ctx.kets[k] for k in self.kets],
                                    labels=self.kets)
             if self.lift is not None:
                 povm = lift_through(ctx.observers[self.lift], povm)
-            ctx.povms[self] = povm
-        return ctx.povms[self]
+            ctx.operators[self] = povm
+        return ctx.operators[self]
 
 
 def _parse_merge(cur: _Cursor, verb: str) -> tuple[str, str, str]:
@@ -621,11 +621,11 @@ class RotateStep(_Node):
         return f"rotate {self.chamber} map {_fmt_ket_map(self.mapping)}"
 
     def run(self, ctx: _Run, index: int):
-        if self.mapping not in ctx.unitaries:
-            ctx.unitaries[self.mapping] = thermo.rotation_unitary(
+        if self.mapping not in ctx.operators:
+            ctx.operators[self.mapping] = thermo.rotation_unitary(
                 [(ctx.kets[a], ctx.kets[b]) for a, b in self.mapping], ctx.lab.lab_dim)
-        ctx.advance(*thermo.rotate(ctx.lab, self.chamber, ctx.unitaries[self.mapping],
-                                   len(self.mapping), step_index=index))
+        ctx.advance(*thermo.rotate(ctx.lab, self.chamber, ctx.operators[self.mapping],
+                                   step_index=index))
 
 
 @dataclass(frozen=True)

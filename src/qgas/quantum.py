@@ -10,19 +10,20 @@ States are validated once, at the boundary.  ``StatisticalMatrix(m)`` and
 ``StatisticalMatrix.pure(ket)`` check everything: shape, finiteness,
 Hermiticity, trace one and positivity (one ``eigvalsh``).  A state derived
 from checked states by a checked operation is positive by construction:
-an outcome update (``measure``), a unitary conjugation (``thermo.rotate``),
-a convex mix (the mole-weighted mean that ``thermo``'s ``mix``, ``join``
+an outcome update (``measure``), a unitary conjugation (``thermo.rotate``,
+the outcome update of a one-effect POVM, whose effect is unitary), a
+convex mix (the mole-weighted mean that ``thermo``'s ``mix``, ``join``
 and a fill build), an eigenprojector (``thermo.eigen_mixture``) and a
 coarse-graining (``observers.coarse_grain``).
 Those five build their states with the private
 ``StatisticalMatrix._derived``, which takes a stack of matrices.  It
 stores the same exactly Hermitian matrices, runs no eigensolver and checks
-only their traces, which guard the five formulas: the POVM effects,
-unitaries and observer sectors they apply are made exact once built
-(``linalg.isometry``), and outcome updates normalize by the traces they
-read.  Outcome updates have one rule, the private ``_updates``: every
-effect of a POVM applied to a stack of states in one stacked product,
-each entry bit for bit the single-matrix A rho A^dag.  ``measure``
+only their traces, which guard the five formulas: the POVM effects
+(rotations among them) and observer sectors they apply are made exact
+once built (``linalg.isometry``), and outcome updates normalize by the
+traces they read.  Outcome updates have one rule, the private
+``_updates``: every effect of a POVM applied to a stack of states in one
+stacked product, each entry bit for bit the single-matrix A rho A^dag.  ``measure``
 normalizes those of one state into (probability, post state) pairs, and
 ``thermo.mix`` reads the traces of two.
 
@@ -116,7 +117,8 @@ class Povm:
     sum A^dag A = identity within linalg.ORTHONORMAL_TOL entrywise, then
     keeps as ``effects`` the polar factor of the effects it checked, for
     which the sum is the identity to round-off: one read-only (k, d, d)
-    array whose slices are the effects.
+    array whose slices are the effects.  With one effect the sum says
+    A^dag A = I: a one-effect Povm is a rotation (thermo.rotate).
     """
 
     effects: np.ndarray
@@ -203,7 +205,10 @@ def optimal_separation_povm(state: StatisticalMatrix) -> Povm:
     the projective POVM onto the state's eigenbasis, one rank-one projector
     per eigenvector in descending eigenvalue, outcomes named eig0, eig1, ...
 
-    They depend on the density matrix alone: every preparation that state
-    describes, however its gases were mixed, gets the same membranes."""
+    They depend on the density matrix, not on how its gases were mixed:
+    every preparation that state describes gets the same membranes.  A
+    degenerate eigenspace is split along the lab axes
+    (linalg.canonical_basis), a choice of coordinates, not a function of
+    the density matrix."""
     _, p = linalg.eigenprojectors(state.matrix)
     return Povm(tuple(p), tuple(f"eig{i}" for i in range(len(p))))

@@ -22,7 +22,6 @@ and ``partition`` scales the moles.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ from .errors import (
     DomainError,
     EmptyChamberError,
     IndistinguishableError,
+    PovmError,
     UnitaryError,
     UnknownChamberError,
     UnknownCheckpointError,
@@ -320,16 +320,17 @@ def mix(lab: LabState, a: str, b: str, povm: Povm, name: str,
     return new_lab, LedgerEvent(step_index, "mix", q, desc)
 
 
-def rotation_unitary(mapping, dim: int) -> np.ndarray:
-    """Unitary sending each source ket to its image ket.
+def rotation_unitary(mapping, dim: int) -> Povm:
+    """The rotation sending each source ket to its image ket: a one-effect
+    Povm, whose construction checks that its effect is unitary and snaps it.
 
     Sources must be orthonormal, images must be orthonormal; the action on
     the orthogonal complement is completed deterministically.
     """
+    if not mapping:
+        raise UnitaryError("a rotation needs at least one source -> image pair")
     sources = [linalg.as_ket(s) for s, _ in mapping]
     images = [linalg.as_ket(i) for _, i in mapping]
-    if len(sources) != len(images) or not sources:
-        raise UnitaryError("mapping needs matching source and image kets")
     if any(s.size != dim for s in sources) or any(i.size != dim for i in images):
         raise DimensionError("mapping kets must live in the lab space")
     full = []
@@ -339,35 +340,28 @@ def rotation_unitary(mapping, dim: int) -> np.ndarray:
         # completed by the canonical basis of the orthogonal complement
         rest = np.eye(dim) - s @ s.conj().T
         full.append(np.hstack([s, linalg.canonical_basis(rest, linalg.COMPLETION_TOL)]))
-    return linalg.isometry(full[1] @ full[0].conj().T, UnitaryError,
-                           "mapping does not extend to a unitary")
+    try:
+        return Povm((full[1] @ full[0].conj().T,), (f"{len(mapping)}-ket mapping",))
+    except PovmError:
+        raise UnitaryError("mapping does not extend to a unitary") from None
 
 
-@functools.lru_cache(maxsize=16)
-def _check_unitary(shape: tuple, dtype: str, data: bytes) -> None:
-    """check_orthonormal of one rotation matrix, given as its shape, dtype
-    and bytes; a raised UnitaryError is not cached."""
-    u = np.frombuffer(data, dtype).reshape(shape)
-    linalg.check_orthonormal(u, UnitaryError, "rotation is not unitary")
-
-
-def rotate(lab: LabState, chamber: str, u: np.ndarray, mapped: int,
+def rotate(lab: LabState, chamber: str, rotation: Povm,
            step_index: int = 0) -> tuple[LabState, LedgerEvent]:
-    """Apply the unitary u, built by rotation_unitary from a mapping of
-    ``mapped`` kets, to the chamber's state.  Isochoric and energy-free:
-    Q = W = 0."""
+    """Conjugate the chamber's state by the unitary effect u of a one-effect
+    Povm (rotation_unitary builds one): rho -> u rho u^dag.  Isochoric and
+    energy-free: Q = W = 0."""
     ch = lab.chamber(chamber)
-    if u.shape != (lab.lab_dim, lab.lab_dim):
-        raise DimensionError(
-            f"rotation of shape {u.shape} does not act on lab dim {lab.lab_dim}"
-        )
-    _check_unitary(u.shape, u.dtype.str, u.tobytes())
+    _check_povm_dim(lab, rotation)
+    if len(rotation) != 1:
+        raise DomainError(f"a rotation has one effect, got {len(rotation)}")
+    u = rotation.effects[0]
     # an unfilled chamber stays unfilled
     state = None if ch.state is None else StatisticalMatrix._derived(
         u @ ch.state.matrix[None] @ u.conj().T)[0]
     rotated = Chamber(ch.name, ch.volume, ch.moles, state)
     new_lab = _replace_chambers(lab, [chamber], [rotated])
-    desc = f"rotate {chamber} by a {mapped}-ket mapping"
+    desc = f"rotate {chamber} by a {rotation.outcome_labels[0]}"
     return new_lab, LedgerEvent(step_index, "rotate", 0.0, desc)
 
 

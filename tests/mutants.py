@@ -38,6 +38,17 @@ MUTANTS = [
      "u.conj().T @ ch.state.matrix[None] @ u",
      "rotate maps rho to u rho u^dagger"),
     ("thermo.py",
+     "    if len(rotation) != 1:\n"
+     "        raise DomainError(",
+     "    if False:\n"
+     "        raise DomainError(",
+     "rotate takes a rotation of one effect only"),
+    ("thermo.py",
+     "    ch = lab.chamber(chamber)\n"
+     "    _check_povm_dim(lab, rotation)\n",
+     "    ch = lab.chamber(chamber)\n",
+     "rotate rejects a rotation of another dimension than the lab"),
+    ("thermo.py",
      "if fraction <= linalg.PRUNE_TOL:",
      "if fraction < linalg.PRUNE_TOL:",
      "separate drops an outcome whose share is at most PRUNE_TOL"),

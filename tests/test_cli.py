@@ -144,6 +144,10 @@ class TestRecordsFormat:
             (parsed,) = parse_records(_event_record(event))
             assert (parsed["desc"], parsed["q"]) == (desc, -0.5)
 
+    def test_unknown_record_type_rejected(self):
+        with pytest.raises(ValueError, match="unknown record type 'bogus'"):
+            parse_records("bogus x=1")
+
 
 class TestTableFormat:
     def test_contains_ledger_verdicts_views(self):
@@ -194,6 +198,10 @@ class TestTableFormat:
 
 
 class TestExitCodes:
+    def test_unknown_command_exits_1(self):
+        assert run_command(CliConfig("frobnicate")) == (
+            1, "", "error: unknown command 'frobnicate'\n")
+
     def test_unknown_demo_exits_1(self):
         code, _, err = run_command(CliConfig("demo", "missing-demo"))
         assert code == 1

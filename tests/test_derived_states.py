@@ -84,7 +84,7 @@ def coarse_observer(rng, dim):
 
 def random_rotation(rng, dim):
     if rng.integers(2):
-        return random_unitary(rng, dim)
+        return Povm((random_unitary(rng, dim),))
     # a partial mapping, completed by rotation_unitary
     k = int(rng.integers(1, dim + 1))
     sources, images = random_unitary(rng, dim), random_unitary(rng, dim)
@@ -198,7 +198,7 @@ def walk(rng, dim, kinds, lowest_p):
             assert event.heat_absorbed_by_gas > 0, where
         elif kind == "rotate":
             name = names[rng.integers(len(names))]
-            lab, event = rotate(lab, name, random_rotation(rng, dim), dim)
+            lab, event = rotate(lab, name, random_rotation(rng, dim))
         elif kind == "partition":
             name = names[rng.integers(len(names))]
             lab, event = partition(lab, name, float(rng.uniform(0.05, 0.95)),
@@ -231,7 +231,7 @@ def test_repeated_rotation_does_not_drift_the_trace(dim):
     lab = LabState(1.0, {"c": chamber}, dim)
     rotations = [random_rotation(rng, dim) for _ in range(16)]
     for i in range(800):
-        lab, _ = rotate(lab, "c", rotations[i % 16], dim)
+        lab, _ = rotate(lab, "c", rotations[i % 16])
     state = lab.chamber("c").state
     assert abs(np.trace(state.matrix).real - 1) <= linalg.TRACE_TOL
     recheck(state, f"dim {dim}, after 800 rotations")
@@ -260,12 +260,13 @@ def test_stacked_updates_equal_the_single_matrix_formulas(dim):
                 assert traces[j, i] == tr
                 assert p == min(max(tr, 0.0), 1.0)
                 assert np.array_equal(post.matrix, hermitian(single / tr))
-        u = random_unitary(rng, dim)
+        rotation = Povm((random_unitary(rng, dim),))
+        u = rotation.effects[0]
         lab = LabState(1.0, {"a": Chamber("a", 1.0, 0.25, states[0]),
                              "b": Chamber("b", 1.0, 0.75, states[1])}, dim)
         joined, _ = join(lab, "a", "b", "c")
         mean = joined.chamber("c").state.matrix
         assert np.array_equal(
             mean, hermitian(0.25 * states[0].matrix + 0.75 * states[1].matrix))
-        rotated = rotate(joined, "c", u, dim)[0].chamber("c").state
+        rotated = rotate(joined, "c", rotation)[0].chamber("c").state
         assert np.array_equal(rotated.matrix, hermitian(u @ mean @ u.conj().T))

@@ -76,6 +76,14 @@ class TestBuildObserver:
         with pytest.raises(BasisError):
             build_observer([(E2[0], E2[0]), ([1, 1], E2[1])], 2)
 
+    def test_rejects_empty_table(self):
+        with pytest.raises(BasisError, match="observer table is empty"):
+            build_observer([], 1)
+
+    def test_rejects_lab_kets_of_mixed_dimension(self):
+        with pytest.raises(BasisError, match="lab kets must share one dimension"):
+            build_observer([(E2[0], E2[0]), (E4[1], E2[1])], 2)
+
     def test_rejects_incomplete_lab_basis(self):
         with pytest.raises(BasisError):
             build_observer([(E4[0], E2[0]), (E4[1], E2[1])], 2)

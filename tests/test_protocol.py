@@ -771,8 +771,9 @@ class TestOperatorReuse:
         assert [e.kind for e in result.ledger.events[1:5]] == [
             "mix", "separate", "rotate", "rotate"]
         assert len(result.ledger.events) == 1 + 4 * 5
-        # one membrane for every mix and separate, one unitary per mapping
-        assert built == {"povm": 1, "unitary": 2}
+        # one membrane for every mix and separate, one rotation per mapping,
+        # each rotation a one-effect Povm
+        assert built == {"povm": 3, "unitary": 2}
 
     @pytest.mark.parametrize("step, message", [
         ("rotate a map { z+ -> x+, z- -> x+ }", "image kets are not orthonormal"),

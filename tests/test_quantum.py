@@ -105,6 +105,14 @@ class TestPovm:
         with pytest.raises(PovmError):
             Povm.projective([Z2[0], np.array([1, 1]) / R2])
 
+    def test_no_effect_rejected(self):
+        with pytest.raises(PovmError, match="a POVM needs at least one effect"):
+            Povm(())
+
+    def test_one_label_per_effect(self):
+        with pytest.raises(PovmError, match="need one outcome label per effect"):
+            Povm((np.eye(2),), ("a", "b"))
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             Povm((np.eye(2), np.zeros((3, 3))))

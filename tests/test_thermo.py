@@ -29,7 +29,7 @@ from qgas.errors import (
     DomainError,
     EmptyChamberError,
     IndistinguishableError,
-    StateError,
+    PovmError,
     UnitaryError,
     UnknownChamberError,
     UnknownCheckpointError,
@@ -323,16 +323,17 @@ class TestRotate:
     def test_rotation_to_other_gas(self):
         a_plus = [math.cos(math.pi / 8), math.sin(math.pi / 8)]
         lab = lab_with(chamber("c", 1.0, [(ALPHA_PLUS, 1.0)]))
-        new_lab, event = rotate(lab, "c", rotation_unitary([(a_plus, E2[0])], 2), 1)
+        new_lab, event = rotate(lab, "c", rotation_unitary([(a_plus, E2[0])], 2))
         assert new_lab.chambers["c"].state.close_to(
             StatisticalMatrix(Z_PLUS), tol=1e-10
         )
         assert event.heat_absorbed_by_gas == 0.0
+        assert event.description == "rotate c by a 1-ket mapping"
 
     def test_identity_mapping(self):
         lab = lab_with(chamber("c", 1.0, [(X_PLUS, 1.0)]))
         u = rotation_unitary([(E2[0], E2[0]), (E2[1], E2[1])], 2)
-        new_lab, _ = rotate(lab, "c", u, 2)
+        new_lab, _ = rotate(lab, "c", u)
         assert new_lab.chambers["c"].state.close_to(
             StatisticalMatrix(X_PLUS)
         )
@@ -344,7 +345,7 @@ class TestRotate:
         state = 0.5 * np.outer(pa, pa) + 0.5 * np.outer(da, da)
         lab = lab_with(Chamber("c", 1.0, 1.0, StatisticalMatrix(state)), dim=4)
         e = np.eye(4)
-        new_lab, _ = rotate(lab, "c", rotation_unitary([(pa, e[0]), (da, e[2])], 4), 2)
+        new_lab, _ = rotate(lab, "c", rotation_unitary([(pa, e[0]), (da, e[2])], 4))
         want = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
         got = new_lab.chambers["c"].state.matrix
         assert np.max(np.abs(got - want)) < 1e-10
@@ -353,63 +354,66 @@ class TestRotate:
         # the complement of each side is spanned by the projected axes in
         # order; the image side skips e1, whose residual vanishes
         r = 1 / math.sqrt(2)
-        u = rotation_unitary([([1, 0, 0], [r, r, 0])], 3)
+        rotation = rotation_unitary([([1, 0, 0], [r, r, 0])], 3)
         want = np.array([[r, r, 0], [r, -r, 0], [0, 0, 1]])
-        np.testing.assert_allclose(u, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rotation.effects[0], want, rtol=0, atol=1e-15)
 
     def test_non_unitary_mapping_rejected(self):
-        lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
         overlapping = [(E2[0], E2[0]), ([1, 1], E2[1])]
-        with pytest.raises(UnitaryError):
-            rotate(lab, "c", rotation_unitary(overlapping, 2), 2)
-        with pytest.raises(UnitaryError):
-            rotate(lab, "c", rotation_unitary([(E2[0], E2[0]), (E2[1], E2[0])], 2), 2)
+        with pytest.raises(UnitaryError, match="source kets are not orthonormal"):
+            rotation_unitary(overlapping, 2)
+        with pytest.raises(UnitaryError, match="image kets are not orthonormal"):
+            rotation_unitary([(E2[0], E2[0]), (E2[1], E2[0])], 2)
+        # each side orthonormal within ORTHONORMAL_TOL, their product not
+        near = [9e-11, 1]
+        with pytest.raises(UnitaryError, match="mapping does not extend to a unitary"):
+            rotation_unitary([(E2[0], E2[0]), (near, near)], 2)
 
-    def test_nearly_unitary_rotation_fails_on_the_trace(self):
-        # a matrix unitary within ORTHONORMAL_TOL passes rotate's check but
-        # moves the trace by ~1e-10: the rotated state, which skips the
-        # eigensolver check, still fails on it (rotation_unitary snaps such
-        # a matrix to the nearest unitary, so it is passed here unsnapped)
+    def test_empty_mapping_rejected(self):
+        with pytest.raises(UnitaryError,
+                           match="a rotation needs at least one source -> image pair"):
+            rotation_unitary([], 2)
+
+    def test_nearly_unitary_rotation_rotates(self):
+        # a matrix unitary only within ORTHONORMAL_TOL moves the trace of
+        # u rho u^dag by ~1e-10; built into a one-effect Povm it is snapped
+        # to its polar factor, which rotates within TRACE_TOL
         b = np.array([0.8, -0.6000000001])
         u = np.array([[0.6, 0.8], b / np.linalg.norm(b)])
+        rho = StatisticalMatrix(Z_PLUS)
+        assert abs(np.trace(u @ rho.matrix @ u.T).real - 1) > linalg.TRACE_TOL
+        w, _, vh = np.linalg.svd(u.astype(complex), full_matrices=False)
+        polar = w @ vh
+        lab = lab_with(Chamber("c", 1.0, 1.0, rho))
+        new_lab, _ = rotate(lab, "c", Povm((u,)))
+        got = new_lab.chambers["c"].state.matrix
+        assert abs(np.trace(got).real - 1) <= linalg.TRACE_TOL
+        np.testing.assert_allclose(got, polar @ rho.matrix @ polar.conj().T,
+                                   rtol=0, atol=1e-15)
+
+    def test_non_unitary_matrix_rejected_when_built(self):
+        for m in ([[1, 1], [0, 1]], [[1, 0.5], [0, 1]]):
+            with pytest.raises(PovmError, match="effects do not resolve the identity"):
+                Povm((np.array(m, dtype=complex),))
+
+    def test_rotation_checked_by_rotate(self):
         lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
-        with pytest.raises(StateError, match="trace must be 1"):
-            rotate(lab, "c", u, 2)
+        with pytest.raises(DimensionError, match="povm dim 4 does not match lab dim 2"):
+            rotate(lab, "c", Povm((np.eye(4),)))
+        with pytest.raises(DomainError, match="a rotation has one effect, got 2"):
+            rotate(lab, "c", z_povm())
 
-    def test_rotation_matrix_checked(self):
+    def test_built_rotation_not_checked_again(self, rng, monkeypatch):
+        rotation = Povm((random_unitary(rng, 2),))
+        for name in ("check_orthonormal", "isometry"):
+            monkeypatch.setattr(linalg, name, lambda *args, name=name: pytest.fail(
+                f"rotate calls linalg.{name}"))
         lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
-        with pytest.raises(UnitaryError):
-            rotate(lab, "c", np.array([[1, 1], [0, 1]], dtype=complex), 2)
-        with pytest.raises(DimensionError):
-            rotate(lab, "c", np.eye(4, dtype=complex), 2)
-
-    def test_non_unitary_matrix_rejected_on_every_call(self):
-        lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
-        shear = np.array([[1, 0.5], [0, 1]], dtype=complex)
-        for _ in range(2):
-            with pytest.raises(UnitaryError, match="rotation is not unitary"):
-                rotate(lab, "c", shear, 2)
-
-    def test_each_distinct_unitary_checked_once(self, rng, monkeypatch):
-        calls = []
-
-        def counting(columns, error, message):
-            calls.append(message)
-            return check(columns, error, message)
-
-        check = linalg.check_orthonormal
-        monkeypatch.setattr(linalg, "check_orthonormal", counting)
-        thermo._check_unitary.cache_clear()
-        lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
-        u = random_unitary(rng, 2)
         for _ in range(5):
-            lab, _ = rotate(lab, "c", u, 2)
-        assert len(calls) == 1
-        lab, _ = rotate(lab, "c", random_unitary(rng, 2), 2)
-        assert len(calls) == 2
+            lab, _ = rotate(lab, "c", rotation)
 
     def test_built_unitary_is_read_only(self):
-        u = rotation_unitary([(E2[0], E2[1])], 2)
+        u = rotation_unitary([(E2[0], E2[1])], 2).effects[0]
         with pytest.raises(ValueError):
             u[0, 0] = 1.0
 
@@ -452,6 +456,12 @@ class TestPartitionJoin:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DomainError):
                 partition(lab, "c", bad, ("l", "r"))
+
+    @pytest.mark.parametrize("names", [("l",), ("l", "r", "s")])
+    def test_partition_needs_two_names(self, names):
+        lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
+        with pytest.raises(DomainError, match="partition needs exactly two chamber names"):
+            partition(lab, "c", 0.5, names)
 
     def test_join_unknown_chamber(self):
         lab = lab_with(chamber("c", 1.0, [(Z_PLUS, 1.0)]))
@@ -533,7 +543,7 @@ def test_one_part_mean_is_the_formula(rng, dim):
     n = 0.37
     public = random_state(rng, dim)
     lab = lab_with(Chamber("c", 1.0, n, public), dim=dim)
-    rotated, _ = rotate(lab, "c", random_unitary(rng, dim), dim)
+    rotated, _ = rotate(lab, "c", Povm((random_unitary(rng, dim),)))
     derived = rotated.chambers["c"].state
     for state in (public, derived):
         assert aggregate_state(Chamber("c", 1.0, n, state)) is state
@@ -620,6 +630,10 @@ class TestLedger:
         ledger.append(LedgerEvent(0, "mix", 0.1, "a"))
         with pytest.raises(DomainError):
             ledger.append(LedgerEvent(0, "join", 0.0, "b"))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(DomainError, match="unknown event kind 'teleport'"):
+            LedgerEvent(0, "teleport", 0.0, "a")
 
     def test_checkpoint_and_span_sum(self):
         ledger = Ledger()
