@@ -40,7 +40,7 @@ print("expected -ln 2            :", -math.log(2))
 # a chamber holding half a mole of each gas
 cell = Chamber("cell", 1.0, 1.0,
                StatisticalMatrix((z_up.matrix + z_down.matrix) / 2))
-lab = LabState(1.0, {"cell": cell}, 2)
+lab = LabState(1.0, [cell], 2)
 
 lab, event = separate(lab, "cell", membranes, names=("top", "bottom"))
 print("\nafter separation:")

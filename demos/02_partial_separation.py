@@ -45,7 +45,7 @@ for weight, state in canonical_contents(cell):
     print(f"  {weight:.6f} of")
     print(np.round(state.matrix.real, 6))
 
-lab = LabState(1.0, {"cell": cell}, 2)
+lab = LabState(1.0, [cell], 2)
 lab, event = separate(lab, "cell", povm, names=("main", "rest"))
 print("\nafter the best possible separation:")
 for name, chamber in lab.chambers.items():

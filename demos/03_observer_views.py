@@ -44,7 +44,7 @@ print(coarse_grain(tatiana, d_z).matrix.real)
 # a chamber mixing species p in state z+ with species d in state x+
 d_x = StatisticalMatrix.pure((e4[2] + e4[3]) / np.sqrt(2), label="d:x+")
 cell = Chamber("cell", 1.0, 1.0, StatisticalMatrix((p_z.matrix + d_x.matrix) / 2))
-lab = LabState(1.0, {"cell": cell}, 4)
+lab = LabState(1.0, [cell], 4)
 
 print("\ntatiana's view of the mixed chamber:")
 # her view is a lab in her own 2-dim space
@@ -67,7 +67,7 @@ print("lifted membrane on species p in z+:", [round(p, 6) for p in probs])
 # equivalence is observer-relative: swap the species and tatiana cannot tell
 swapped = Chamber("cell", 1.0, 1.0,
                   StatisticalMatrix((d_z.matrix + d_x.matrix) / 2))
-lab_swapped = LabState(1.0, {"cell": swapped}, 4)
+lab_swapped = LabState(1.0, [swapped], 4)
 print("\nsame lab for tatiana:",
       states_equivalent(tatiana, lab, lab_swapped))
 print("same lab at full resolution:",

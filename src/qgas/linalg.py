@@ -41,12 +41,12 @@ PRUNE_TOL = 1e-12  # dropped moles, mole fractions, eigen-mixture weights
 SAME_STATE_TOL = 1e-12  # default entrywise gap of StatisticalMatrix.close_to
 SNAP_TOL = 1e-12  # a printed number below this shows as 0
 
-# Degeneracy and phase.  The residual cut-offs are far above round-off and
-# far below O(1); they differ, and merging them would change the axes kept.
+# Degeneracy and phase.  The cut-offs are far above round-off and far below
+# O(1).  One residual cut-off serves canonical_basis, both for a degenerate
+# eigenspace and for completing a rotation.
 TIE_TOL = 1e-10  # gap of neighbouring eigenvalues sharing an eigenspace
 PHASE_TOL = 1e-10  # first eigenvector entry above this is made real > 0
-BASIS_TOL = 1e-6  # residual of an axis skipped in a degenerate eigenspace
-COMPLETION_TOL = 1e-8  # residual of an axis skipped completing a rotation
+BASIS_TOL = 1e-6  # residual of an axis canonical_basis skips
 
 # Closure: the default of --tol, the slack of mix, of cycle closure and of
 # Q/(nT) > tol; looser than the state checks, as it compares whole protocol
@@ -82,7 +82,8 @@ def as_ket(v) -> np.ndarray:
         raise DimensionError(f"expected a flat ket, got shape {k.shape}")
     if not 1 <= k.size <= MAX_DIM:
         raise DimensionError(f"ket length {k.size} outside 1..{MAX_DIM}")
-    norm = float(np.linalg.norm(k))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(k))
     if not KET_RESCALE_BELOW <= norm < math.inf:
         if not np.isfinite(k).all():
             raise DomainError("ket has a non-finite entry (nan or inf)")
@@ -179,29 +180,35 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def canonical_basis(p: np.ndarray, tol: float) -> np.ndarray:
+def canonical_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the range of the orthogonal projector p, fixed by
     the range alone: the axes e_1, e_2, ... projected by p (the columns of
     p) and Gram-Schmidt orthonormalized in turn, skipping residuals at or
-    below tol, until tr p vectors are kept.  Returns them as columns.
+    below BASIS_TOL, until tr p vectors are kept.  Returns them as columns.
+
+    A kept residual is projected by p and orthogonalized once more before
+    it is normalized: a small one carries round-off of about 1e-16 divided
+    by its norm, outside the range and along the vectors kept before it.
 
     The vectors come in the order of the axes they are built from.  Before
     any phasing each is real positive at its own axis, vanishes on the
-    earlier axes that were kept, and is below tol (not necessarily zero)
-    on the earlier axes that were skipped.
+    earlier axes that were kept, and is below BASIS_TOL (not necessarily
+    zero) on the earlier axes that were skipped.
     """
     rank = round(float(np.trace(p).real))
-    q: list[list[complex]] = []
-    for c in p.T.tolist():
-        if len(q) == rank:
+    q = np.zeros((p.shape[0], rank), dtype=complex)
+    k = 0
+    for c in p.T:
+        if k == rank:
             break
-        for u in q:
-            s = sum(x.conjugate() * y for x, y in zip(u, c))
-            c = [y - s * x for x, y in zip(u, c)]
-        norm = math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in c))
-        if norm > tol:
-            q.append([x / norm for x in c])
-    return np.array(q, dtype=complex).reshape(len(q), p.shape[0]).T
+        kept = q[:, :k]
+        c = c - kept @ (kept.conj().T @ c)
+        if math.sqrt(np.vdot(c, c).real) > BASIS_TOL:
+            c = p @ c
+            c = c - kept @ (kept.conj().T @ c)
+            q[:, k] = c / math.sqrt(np.vdot(c, c).real)
+            k += 1
+    return q[:, :k]
 
 
 def _canonicalize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -214,7 +221,7 @@ def _canonicalize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
         if i == len(wl) or wl[i - 1] - wl[i] > TIE_TOL:
             if i - start > 1:
                 b = v[:, start:i]
-                v[:, start:i] = canonical_basis(b @ b.conj().T, BASIS_TOL)
+                v[:, start:i] = canonical_basis(b @ b.conj().T)
             start = i
     return np.column_stack([_fix_phase(c) for c in v.T])
 

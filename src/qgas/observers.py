@@ -33,12 +33,19 @@ from .thermo import Chamber, LabState
 
 @dataclass(frozen=True, eq=False)
 class Observer:
-    """Named coarse-graining channel, one isometry per sector."""
+    """Named coarse-graining channel: one read-only (k, obs_dim, lab_dim)
+    array whose slices are the isometries of its k sectors."""
 
     name: str
-    obs_dim: int
-    lab_dim: int
-    sector_isometries: tuple[np.ndarray, ...]
+    sector_isometries: np.ndarray
+
+    @property
+    def obs_dim(self) -> int:
+        return self.sector_isometries.shape[1]
+
+    @property
+    def lab_dim(self) -> int:
+        return self.sector_isometries.shape[2]
 
 
 def build_observer(table, obs_dim: int, name: str = "observer") -> Observer:
@@ -77,22 +84,14 @@ def build_observer(table, obs_dim: int, name: str = "observer") -> Observer:
         else:
             sectors.append([(lab, obs)])
 
-    isometries = []
-    for sector in sectors:
-        v = np.zeros((obs_dim, lab_dim), dtype=complex)
+    v = np.zeros((len(sectors), obs_dim, lab_dim), dtype=complex)
+    for k, sector in enumerate(sectors):
         for lab, obs in sector:
-            v += np.outer(obs, lab.conj())
-        isometries.append(v)
+            v[k] += np.outer(obs, lab.conj())
     # sum_k V_k^dag V_k = I: the stacked isometries have orthonormal columns
-    stacked = linalg.isometry(np.vstack(isometries), BasisError,
+    stacked = linalg.isometry(v.reshape(-1, lab_dim), BasisError,
                               "channel is not trace preserving")
-
-    return Observer(
-        name=name,
-        obs_dim=obs_dim,
-        lab_dim=lab_dim,
-        sector_isometries=tuple(np.split(stacked, len(sectors))),
-    )
+    return Observer(name, stacked.reshape(v.shape))
 
 
 def identity_observer(dim: int, name: str = "identity") -> Observer:
@@ -135,12 +134,10 @@ def lift_through(obs: Observer, povm: Povm) -> Povm:
 def view(obs: Observer, lab: LabState) -> LabState:
     """What the lab looks like to this observer: the same chambers, each
     filled one holding its state coarse-grained into the observer's space."""
-    chambers = {
-        name: Chamber(name, ch.volume, ch.moles,
-                      None if ch.state is None else coarse_grain(obs, ch.state))
-        for name, ch in lab.chambers.items()
-    }
-    return LabState(lab.temperature, chambers, obs.obs_dim)
+    return LabState(lab.temperature, [
+        Chamber(name, ch.volume, ch.moles,
+                None if ch.state is None else coarse_grain(obs, ch.state))
+        for name, ch in lab.chambers.items()], obs.obs_dim)
 
 
 def equivalence_mismatch(obs: Observer, a: LabState, b: LabState,

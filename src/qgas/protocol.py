@@ -822,7 +822,7 @@ def execute(ast: ProtocolAst, tol: float = linalg.CLOSURE_TOL) -> ExecutionResul
             decl.run(ctx)
         except QgasError as exc:
             raise ProtocolRuntimeError(-1, decl.line, str(exc)) from exc
-    ctx.lab = LabState(ctx.temperature, ctx.chambers, ctx.dim)
+    ctx.lab = LabState(ctx.temperature, ctx.chambers.values(), ctx.dim)
 
     for index, step in enumerate(ast.steps):
         try:

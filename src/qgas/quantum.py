@@ -10,22 +10,23 @@ States are validated once, at the boundary.  ``StatisticalMatrix(m)`` and
 ``StatisticalMatrix.pure(ket)`` check everything: shape, finiteness,
 Hermiticity, trace one and positivity (one ``eigvalsh``).  A state derived
 from checked states by a checked operation is positive by construction:
-an outcome update (``measure``), a unitary conjugation (``thermo.rotate``,
-the outcome update of a one-effect POVM, whose effect is unitary), a
-convex mix (the mole-weighted mean that ``thermo``'s ``mix``, ``join``
-and a fill build), an eigenprojector (``thermo.eigen_mixture``) and a
-coarse-graining (``observers.coarse_grain``).
-Those five build their states with the private
+an outcome update (``measure``, and ``thermo.rotate``, the outcome update
+of a one-effect POVM, whose effect is unitary), a convex mix (the
+mole-weighted mean that ``thermo``'s ``mix``, ``join`` and a fill build),
+an eigenprojector (``thermo.eigen_mixture``) and a coarse-graining
+(``observers.coarse_grain``).
+Those four build their states with the private
 ``StatisticalMatrix._derived``, which takes a stack of matrices.  It
 stores the same exactly Hermitian matrices, runs no eigensolver and checks
-only their traces, which guard the five formulas: the POVM effects
+only their traces, which guard the four formulas: the POVM effects
 (rotations among them) and observer sectors they apply are made exact
 once built (``linalg.isometry``), and outcome updates normalize by the
 traces they read.  Outcome updates have one rule, the private
 ``_updates``: every effect of a POVM applied to a stack of states in one
 stacked product, each entry bit for bit the single-matrix A rho A^dag.  ``measure``
-normalizes those of one state into (probability, post state) pairs, and
-``thermo.mix`` reads the traces of two.
+normalizes those of one state into (probability, post state) pairs,
+``thermo.rotate`` takes the one of its one effect and ``thermo.mix``
+reads the traces of two.
 
 The best separating membranes (``optimal_separation_povm``) are a function
 of a chamber's aggregate state alone: the projectors of
@@ -73,7 +74,7 @@ class StatisticalMatrix:
     def _derived(cls, stack: np.ndarray,
                  labels=None) -> list["StatisticalMatrix"]:
         """The states of an (n, d, d) stack of complex matrices derived from
-        checked states by one of the five operations named in the module
+        checked states by one of the four operations named in the module
         docstring, labelled by ``labels`` (default none): the matrices
         __post_init__ would store, frozen, with every trace checked (the
         first failing one is reported) but no eigensolver run."""

@@ -98,9 +98,10 @@ def check_temperature(t: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LabState:
-    """Everything in the lab: temperature, named chambers, and the Hilbert
+    """Everything in the lab: temperature, chambers, and the Hilbert
     dimension of the ground-truth description, which every filled
-    chamber's state has."""
+    chamber's state has.  Built from an ordered iterable of chambers, it
+    keys them by their own names, which must not repeat."""
 
     temperature: float
     chambers: dict[str, Chamber]
@@ -108,10 +109,15 @@ class LabState:
 
     def __post_init__(self):
         check_temperature(self.temperature)
-        for ch in self.chambers.values():
+        chambers = {}
+        for ch in self.chambers:
+            if ch.name in chambers:
+                raise DomainError(f"chamber {ch.name!r} already exists")
             if ch.state is not None and ch.state.dim != self.lab_dim:
                 raise DimensionError(f"chamber {ch.name!r} holds dim"
                                      f" {ch.state.dim} gas in lab dim {self.lab_dim}")
+            chambers[ch.name] = ch
+        object.__setattr__(self, "chambers", chambers)
 
     def chamber(self, name: str) -> Chamber:
         try:
@@ -225,17 +231,12 @@ def canonical_contents(chamber: Chamber) -> list[tuple[float, StatisticalMatrix]
 def _replace_chambers(lab: LabState, removed, added) -> LabState:
     """New lab state with ``removed`` chamber names replaced by the ``added``
     chambers, inserted where the first removed chamber sat."""
-    names = lab.chambers.keys() - removed
-    for new in added:
-        if new.name in names:
-            raise DomainError(f"chamber {new.name!r} already exists")
-        names.add(new.name)
-    out: dict[str, Chamber] = {}
+    out = []
     for name, ch in lab.chambers.items():
         if name not in removed:
-            out[name] = ch
+            out.append(ch)
         elif added:
-            out.update((new.name, new) for new in added)
+            out.extend(added)
             added = ()
     return LabState(lab.temperature, out, lab.lab_dim)
 
@@ -324,8 +325,9 @@ def rotation_unitary(mapping, dim: int) -> Povm:
     """The rotation sending each source ket to its image ket: a one-effect
     Povm, whose construction checks that its effect is unitary and snaps it.
 
-    Sources must be orthonormal, images must be orthonormal; the action on
-    the orthogonal complement is completed deterministically.
+    Sources must be orthonormal, images must be orthonormal, each within
+    linalg.ORTHONORMAL_TOL, and each side is snapped to its polar factor;
+    the action on the orthogonal complement is completed deterministically.
     """
     if not mapping:
         raise UnitaryError("a rotation needs at least one source -> image pair")
@@ -335,11 +337,11 @@ def rotation_unitary(mapping, dim: int) -> Povm:
         raise DimensionError("mapping kets must live in the lab space")
     full = []
     for group, what in ((sources, "source"), (images, "image")):
-        s = np.column_stack(group)
-        linalg.check_orthonormal(s, UnitaryError, f"{what} kets are not orthonormal")
+        s = linalg.isometry(np.column_stack(group), UnitaryError,
+                            f"{what} kets are not orthonormal")
         # completed by the canonical basis of the orthogonal complement
         rest = np.eye(dim) - s @ s.conj().T
-        full.append(np.hstack([s, linalg.canonical_basis(rest, linalg.COMPLETION_TOL)]))
+        full.append(np.hstack([s, linalg.canonical_basis(rest)]))
     try:
         return Povm((full[1] @ full[0].conj().T,), (f"{len(mapping)}-ket mapping",))
     except PovmError:
@@ -349,16 +351,15 @@ def rotation_unitary(mapping, dim: int) -> Povm:
 def rotate(lab: LabState, chamber: str, rotation: Povm,
            step_index: int = 0) -> tuple[LabState, LedgerEvent]:
     """Conjugate the chamber's state by the unitary effect u of a one-effect
-    Povm (rotation_unitary builds one): rho -> u rho u^dag.  Isochoric and
-    energy-free: Q = W = 0."""
+    Povm (rotation_unitary builds one): rho -> u rho u^dag, the outcome
+    update of its one effect.  Isochoric and energy-free: Q = W = 0."""
     ch = lab.chamber(chamber)
     _check_povm_dim(lab, rotation)
     if len(rotation) != 1:
         raise DomainError(f"a rotation has one effect, got {len(rotation)}")
-    u = rotation.effects[0]
     # an unfilled chamber stays unfilled
     state = None if ch.state is None else StatisticalMatrix._derived(
-        u @ ch.state.matrix[None] @ u.conj().T)[0]
+        _updates(rotation, [ch.state])[0][0])[0]
     rotated = Chamber(ch.name, ch.volume, ch.moles, state)
     new_lab = _replace_chambers(lab, [chamber], [rotated])
     desc = f"rotate {chamber} by a {rotation.outcome_labels[0]}"

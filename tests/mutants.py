@@ -1,5 +1,5 @@
-"""Mutation check of the chamber core and observer views: tier-1 must
-fail on every mutant.
+"""Mutation check of the chamber core, the numerics under it and observer
+views: tier-1 must fail on every mutant.
 
 Each entry of MUTANTS is (file under src/qgas, exact old text, new text,
 the invariant the mutant breaks).  For each one the runner copies ``src/``
@@ -33,10 +33,13 @@ MUTANTS = [
      "label = labels.pop() if len(labels) == 1 else None",
      "label = None",
      "a mean state keeps the label all its inputs share"),
-    ("thermo.py",
-     "u @ ch.state.matrix[None] @ u.conj().T",
-     "u.conj().T @ ch.state.matrix[None] @ u",
-     "rotate maps rho to u rho u^dagger"),
+    ("quantum.py",
+     "raw = e @ np.array([rho.matrix for rho in states])[:, None] \\\n"
+     "        @ e.conj().swapaxes(-1, -2)",
+     "raw = e.conj().swapaxes(-1, -2) @ np.array([rho.matrix for rho in states])"
+     "[:, None] \\\n"
+     "        @ e",
+     "an outcome update, rotate's among them, maps rho to A rho A^dagger"),
     ("thermo.py",
      "    if len(rotation) != 1:\n"
      "        raise DomainError(",
@@ -83,6 +86,17 @@ MUTANTS = [
      "            if False:\n"
      "                raise DimensionError(",
      "a lab rejects a chamber whose state is not of its lab_dim"),
+    ("thermo.py",
+     "            if ch.name in chambers:\n"
+     "                raise DomainError(",
+     "            if False:\n"
+     "                raise DomainError(",
+     "a lab rejects a chamber name that repeats"),
+    ("linalg.py",
+     "            c = p @ c\n"
+     "            c = c - kept @ (kept.conj().T @ c)\n",
+     "",
+     "canonical_basis projects and orthogonalizes a kept residual once more"),
 ]
 
 

@@ -154,8 +154,7 @@ def _check_reversibility_suite(rng):
         na, nb = (float(x) for x in rng.uniform(0.2, 1.0, size=2))
         lab = LabState(
             1.0,
-            {"a": Chamber("a", na, na, rho),
-             "b": Chamber("b", nb, nb, sigma)},
+            [Chamber("a", na, na, rho), Chamber("b", nb, nb, sigma)],
             dim,
         )
         povm = Povm((rho.matrix, np.eye(dim) - rho.matrix))

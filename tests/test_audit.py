@@ -20,7 +20,7 @@ from qgas.thermo import Chamber, LabState, Ledger, LedgerEvent
 
 def simple_lab():
     cell = Chamber("c", 1.0, 1.0, StatisticalMatrix(Z_PLUS))
-    return LabState(1.0, {"c": cell}, 2)
+    return LabState(1.0, [cell], 2)
 
 
 def test_classification_table_fuzzed(rng):
@@ -81,7 +81,7 @@ def test_audit_additive_over_intermediate_checkpoint(rng):
 
 def test_audit_with_different_temperature():
     cell = Chamber("c", 1.0, 1.0, StatisticalMatrix(Z_PLUS))
-    lab = LabState(2.0, {"c": cell}, 2)
+    lab = LabState(2.0, [cell], 2)
     ledger = Ledger()
     ledger.checkpoint("start", lab, 0)
     ledger.append(LedgerEvent(1, "mix", 1.0, "m"))
@@ -96,7 +96,7 @@ def test_audit_open_when_chamber_sets_differ():
     ledger.checkpoint("start", lab, 0)
     other = LabState(
         1.0,
-        {"d": Chamber("d", 1.0, 1.0, StatisticalMatrix(Z_PLUS))},
+        [Chamber("d", 1.0, 1.0, StatisticalMatrix(Z_PLUS))],
         2,
     )
     verdict = audit(ledger, identity_observer(2), "start", other)

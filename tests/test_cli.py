@@ -2,6 +2,7 @@ import importlib
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,27 @@ class TestExitCodes:
         code, out, err = run_command(CliConfig("run", str(path)))
         assert (code, out) == (1, "")
         assert "line 2" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("declarations, step", [
+        # the norm of this ket overflowed with a RuntimeWarning: an internal
+        # error under python -W error
+        ("space lab dim 2\nket a = [1e308, 1e308]\n", ""),
+        # mappings orthonormal within ORTHONORMAL_TOL that used to be refused
+        # as not extending to a unitary
+        ("space lab dim 3\nket a = [1, 3e-8, 0]\nket e2 = [0, 0, 1]\n",
+         "rotate c map { a -> e2 }\n"),
+        ("space lab dim 2\nket z+ = [1, 0]\nket a = [9e-11, 1]\n",
+         "rotate c map { z+ -> z+, a -> a }\n"),
+    ], ids=["huge-ket", "near-axis-map", "near-identity-map"])
+    def test_valid_protocol_exits_0_without_a_warning(self, tmp_path,
+                                                      declarations, step):
+        path = tmp_path / "valid.qgp"
+        path.write_text(declarations + "gas g from ket a\nchamber c volume 1.0\n"
+                        "fill c { g : 1.0 } moles 1.0\n" + step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_command(CliConfig("run", str(path)))
+        assert (code, err) == (0, "")
 
     def test_overflowing_gas_matrix_fails_at_its_declaration(self, tmp_path):
         # reported where the state is declared, not at its first step

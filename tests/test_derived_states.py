@@ -122,6 +122,7 @@ def mixable_pairs(lab, tol=linalg.CLOSURE_TOL):
 def check_lab(lab, before, observers, moles, where):
     """Re-check the chambers of lab that are not in the lab before it."""
     kept = {id(ch) for ch in before.chambers.values()} if before else set()
+    assert all(name == ch.name for name, ch in lab.chambers.items()), where
     for ch in lab.chambers.values():
         if id(ch) in kept:
             continue
@@ -142,18 +143,18 @@ def walk(rng, dim, kinds, lowest_p):
     outcome probability that got a post state."""
     skew_basis = random_unitary(rng, dim)
     observers = [coarse_observer(rng, dim) for _ in range(2)]
-    chambers = {}
+    chambers = []
     for name in ("a", "b"):
         parts = []
         for _ in range(rng.integers(1, 4)):
             gas = random_gas(rng, dim, skew_basis)
             parts.append((float(rng.uniform(0.1, 2.0)), gas))
-        chambers[name] = _mean_chamber(name, float(rng.uniform(0.5, 2.0)), parts)
+        chambers.append(_mean_chamber(name, float(rng.uniform(0.5, 2.0)), parts))
     # chamber "s" holds skewed gases only and is first separated in the
     # skew basis, so outcome probabilities reach down to the cut-off
     skewed = [(0.5, StatisticalMatrix.pure(skewed_ket(rng, skew_basis, lowest=-6.5)))
               for _ in range(3)]
-    chambers["s"] = _mean_chamber("s", 1.0, skewed)
+    chambers.append(_mean_chamber("s", 1.0, skewed))
     lab = LabState(float(rng.uniform(0.5, 2.0)), chambers, dim)
     moles = lab.total_moles()
     check_lab(lab, None, observers, moles, f"dim {dim}, declared")
@@ -228,7 +229,7 @@ def test_repeated_rotation_does_not_drift_the_trace(dim):
     rng = np.random.default_rng(dim)
     gases = (random_state(rng, dim), StatisticalMatrix.pure(random_ket(rng, dim)))
     chamber = _mean_chamber("c", 1.0, [(0.5, s) for s in gases])
-    lab = LabState(1.0, {"c": chamber}, dim)
+    lab = LabState(1.0, [chamber], dim)
     rotations = [random_rotation(rng, dim) for _ in range(16)]
     for i in range(800):
         lab, _ = rotate(lab, "c", rotations[i % 16])
@@ -262,8 +263,8 @@ def test_stacked_updates_equal_the_single_matrix_formulas(dim):
                 assert np.array_equal(post.matrix, hermitian(single / tr))
         rotation = Povm((random_unitary(rng, dim),))
         u = rotation.effects[0]
-        lab = LabState(1.0, {"a": Chamber("a", 1.0, 0.25, states[0]),
-                             "b": Chamber("b", 1.0, 0.75, states[1])}, dim)
+        lab = LabState(1.0, [Chamber("a", 1.0, 0.25, states[0]),
+                             Chamber("b", 1.0, 0.75, states[1])], dim)
         joined, _ = join(lab, "a", "b", "c")
         mean = joined.chamber("c").state.matrix
         assert np.array_equal(

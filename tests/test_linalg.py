@@ -187,6 +187,37 @@ def test_hermitian_eig_degenerate_basis_is_canonical(rng, dim):
             assert np.max(np.abs(v1.conj().T @ v1 - np.eye(dim))) <= 1e-12
 
 
+def gram_schmidt_reference(p):
+    """canonical_basis as one modified Gram-Schmidt pass over the columns
+    of p, in plain Python: the loop it replaced."""
+    rank = round(float(np.trace(p).real))
+    q = []
+    for c in p.T.tolist():
+        if len(q) == rank:
+            break
+        for u in q:
+            s = sum(x.conjugate() * y for x, y in zip(u, c))
+            c = [y - s * x for x, y in zip(u, c)]
+        norm = math.sqrt(sum(abs(x) ** 2 for x in c))
+        if norm > linalg.BASIS_TOL:
+            q.append([x / norm for x in c])
+    return np.array(q, dtype=complex).reshape(len(q), p.shape[0]).T
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_canonical_basis_matches_the_gram_schmidt_loop(rng, dim):
+    # a second projection and pass move each vector by round-off only,
+    # for a random range and for one spanned by coordinate axes alike
+    for k in range(1, dim + 1):
+        for u in (random_unitary(rng, dim), np.eye(dim)[:, rng.permutation(dim)]):
+            p = u[:, :k] @ u[:, :k].conj().T
+            basis = linalg.canonical_basis(p)
+            assert basis.shape == (dim, k)
+            assert np.max(np.abs(basis - gram_schmidt_reference(p))) <= 1e-12
+            assert np.max(np.abs(basis.conj().T @ basis - np.eye(k))) <= 1e-14
+            assert np.max(np.abs(p @ basis - basis)) <= 1e-14
+
+
 def test_hermitian_eig_skipped_axis_keeps_small_component(rng):
     # the 1-eigenspace is within 1e-8 of orthogonal to e_1, so e_1 is skipped
     # and its basis is built from e_2 and e_3; both vectors keep a component
@@ -268,11 +299,16 @@ def test_zero_ket_message():
         linalg.as_ket([0, 0])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_as_ket_normalizes_finite_entries_whose_norm_overflows():
-    # the norm of these entries is above the largest float; the ket is not
-    assert np.allclose(linalg.as_ket([1e200, 0]), [1, 0])
-    assert np.allclose(linalg.as_ket([1e308, 1e308j]), [1 / math.sqrt(2), 1j / math.sqrt(2)])
+    # the norm of these entries is above the largest float; the ket is not,
+    # and its norm overflowing used to warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(linalg.as_ket([1e200, 0]), [1, 0])
+        assert np.allclose(linalg.as_ket([1e308, 1e308j]),
+                           [1 / math.sqrt(2), 1j / math.sqrt(2)])
+        assert np.allclose(linalg.as_ket([1e308, 1e308]),
+                           [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_hermitian_eig_rejects_a_hermitian_part_that_overflows():

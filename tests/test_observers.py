@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -45,7 +46,7 @@ def johann():
 
 
 def lab_of(chambers, dim):
-    return LabState(1.0, {c.name: c for c in chambers}, dim)
+    return LabState(1.0, chambers, dim)
 
 
 def pure4(index):
@@ -59,6 +60,14 @@ class TestBuildObserver:
         assert obs.sector_isometries[0].shape == (2, 4)
         total = sum(v.conj().T @ v for v in obs.sector_isometries)
         assert np.max(np.abs(total - np.eye(4))) < 1e-12
+
+    def test_sectors_are_one_read_only_stack(self):
+        obs = tatiana()
+        assert [f.name for f in dataclasses.fields(obs)] == ["name", "sector_isometries"]
+        assert obs.sector_isometries.shape == (2, 2, 4)
+        assert (obs.obs_dim, obs.lab_dim) == (2, 4)
+        assert not obs.sector_isometries.flags.writeable
+        assert (johann().obs_dim, johann().lab_dim) == (1, 2)
 
     def test_identity_observer_single_isometry(self):
         obs = identity_observer(4)
@@ -304,6 +313,15 @@ class TestStatesEquivalent:
         fewer = lab_of([Chamber("c", 1.0, 0.5, pure4(0))], 4)
         assert not states_equivalent(tatiana(), base, bigger)
         assert not states_equivalent(tatiana(), base, fewer)
+
+    def test_chamber_empty_on_one_side_only(self):
+        # 1e-12 moles pass the mole check at tol 1e-9; the emptiness does not
+        d = Chamber("d", 1.0, 1.0, pure4(0))
+        filled = lab_of([Chamber("c", 1.0, 1e-12, pure4(1)), d], 4)
+        empty = lab_of([Chamber("c", 1.0), d], 4)
+        for a, b in ((filled, empty), (empty, filled)):
+            assert equivalence_mismatch(tatiana(), a, b, 1e-9) == \
+                "chamber 'c' is empty on one side only"
 
     def test_mismatched_chamber_sets(self):
         a = lab_of([Chamber("c", 1.0, 1.0, pure4(0))], 4)

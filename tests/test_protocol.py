@@ -885,7 +885,8 @@ class TestGrowthProtocol:
         monkeypatch.setattr(quantum, "_updates", counting)
         monkeypatch.setattr(thermo, "_updates", counting)
         execute(parse(growth_protocol(12)))
-        assert sizes == [1] * 12
+        # 12 separations and 12 rotations, each the update of one state
+        assert sizes == [1] * 24
 
     def test_heat_matches_the_per_gas_history(self):
         # qTotal at 8 rounds when every chamber kept each gas's share and

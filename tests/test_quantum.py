@@ -211,6 +211,11 @@ class TestOrthogonality:
     def test_not_distinguishable(self):
         assert not are_orthogonal(sm(Z_PLUS), sm(X_PLUS))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError) as err:
+            are_orthogonal(sm(Z_PLUS), sm(np.eye(3) / 3))
+        assert str(err.value) == "dimension mismatch: 2 vs 3"
+
     def test_lab_level_species_states(self):
         # pure species states in the 4-dim lab are orthogonal even though
         # the coarse observer writes them as overlapping spin matrices

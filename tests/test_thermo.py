@@ -56,7 +56,7 @@ E2 = np.eye(2, dtype=complex)
 
 
 def lab_with(*chambers, dim=2, t=1.0):
-    return LabState(t, {c.name: c for c in chambers}, dim)
+    return LabState(t, chambers, dim)
 
 
 def chamber(name, volume, parts):
@@ -103,7 +103,7 @@ def test_constructors_reject_non_finite(bad):
     with pytest.raises(DomainError, match="finite"):
         Chamber("c", bad)
     with pytest.raises(DomainError, match="finite"):
-        LabState(bad, {}, 2)
+        LabState(bad, [], 2)
     with pytest.raises(DomainError, match="finite"):
         LedgerEvent(1, "mix", bad, "overflowed")
 
@@ -111,14 +111,24 @@ def test_constructors_reject_non_finite(bad):
 def test_lab_rejects_a_chamber_of_another_dimension():
     ch = Chamber("c", 1.0, 1.0, StatisticalMatrix(np.eye(3) / 3))
     with pytest.raises(DimensionError) as err:
-        LabState(1.0, {"e": Chamber("e", 1.0), "c": ch}, 2)
+        LabState(1.0, [Chamber("e", 1.0), ch], 2)
     assert str(err.value) == "chamber 'c' holds dim 3 gas in lab dim 2"
+
+
+def test_lab_keys_each_chamber_by_its_own_name():
+    chambers = [Chamber("b", 1.0), Chamber("a", 2.0, 1.0, StatisticalMatrix(Z_PLUS))]
+    lab = LabState(1.0, chambers, 2)
+    assert list(lab.chambers) == ["b", "a"]
+    assert list(lab.chambers.values()) == chambers
+    with pytest.raises(DomainError) as err:
+        LabState(1.0, [Chamber("b", 1.0), Chamber("b", 1.0)], 2)
+    assert str(err.value) == "chamber 'b' already exists"
 
 
 def test_lab_rejects_a_subnormal_temperature():
     with pytest.raises(DomainError, match="at least"):
-        LabState(1e-320, {}, 2)
-    assert LabState(sys.float_info.min, {}, 2).temperature == sys.float_info.min
+        LabState(1e-320, [], 2)
+    assert LabState(sys.float_info.min, [], 2).temperature == sys.float_info.min
 
 
 def test_chamber_rejects_overflowing_moles():
@@ -364,10 +374,35 @@ class TestRotate:
             rotation_unitary(overlapping, 2)
         with pytest.raises(UnitaryError, match="image kets are not orthonormal"):
             rotation_unitary([(E2[0], E2[0]), (E2[1], E2[0])], 2)
-        # each side orthonormal within ORTHONORMAL_TOL, their product not
+        # each side orthonormal within ORTHONORMAL_TOL only: each is snapped
+        # before completion, so the mapping extends to a unitary
         near = [9e-11, 1]
-        with pytest.raises(UnitaryError, match="mapping does not extend to a unitary"):
-            rotation_unitary([(E2[0], E2[0]), (near, near)], 2)
+        (u,) = rotation_unitary([(E2[0], E2[0]), (near, near)], 2).effects
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-15
+        np.testing.assert_allclose(u, np.eye(2), atol=1e-10)
+
+    def test_valid_mappings_never_refused(self, rng):
+        # sources and images orthonormal within ORTHONORMAL_TOL: QR columns
+        # in dim 2 to 4 with every entry moved by up to 4e-11, and one ket
+        # e0 moved by 1e-10 to 1e-4 on the other two axes of dim 3, whose
+        # completion keeps an axis of small residual
+        mappings = []
+        for _ in range(400):
+            dim = int(rng.integers(2, 5))
+            k = int(rng.integers(1, dim + 1))
+            sides = [random_unitary(rng, dim)[:, :k]
+                     + rng.uniform(-4e-11, 4e-11, (dim, k)) for _ in range(2)]
+            mappings.append((list(zip(sides[0].T, sides[1].T)), dim))
+        for _ in range(400):
+            source = np.array([1.0, 0.0, 0.0])
+            source[1:] = 10.0 ** rng.uniform(-10, -4, 2) * rng.choice([-1, 1], 2)
+            mappings.append(([(source, np.eye(3)[rng.integers(3)])], 3))
+        for mapping, dim in mappings:
+            (u,) = rotation_unitary(mapping, dim).effects
+            assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-14
+            for s, i in mapping:
+                np.testing.assert_allclose(u @ linalg.as_ket(s), linalg.as_ket(i),
+                                           atol=1e-9)
 
     def test_empty_mapping_rejected(self):
         with pytest.raises(UnitaryError,
