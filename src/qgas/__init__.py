@@ -28,7 +28,7 @@ from .errors import (
     UnknownChamberError,
     UnknownCheckpointError,
 )
-from .linalg import conjugate, hermitian_eig, trace_product
+from .linalg import hermitian_eig, trace_product
 from .observers import (
     Observer,
     build_observer,
@@ -108,7 +108,6 @@ __all__ = [
     "build_observer",
     "canonical_contents",
     "coarse_grain",
-    "conjugate",
     "demo_source",
     "execute",
     "hermitian_eig",

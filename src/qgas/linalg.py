@@ -99,16 +99,12 @@ def as_ket(v) -> np.ndarray:
     return k
 
 
-def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
 def trace_product(a, b) -> complex:
     """tr(a b).  Cyclic, so symmetric in its two arguments."""
     a = as_matrix(a)
     b = as_matrix(b)
-    _same_dim(a, b)
+    if a.shape != b.shape:
+        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return complex(np.trace(a @ b))
 
 
@@ -132,14 +128,6 @@ def as_hermitian(m, message: str) -> np.ndarray:
     if not defect <= HERMITIAN_TOL:
         raise NotHermitianError(f"{message} (defect {defect:.3g})")
     return h
-
-
-def conjugate(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The unnormalized outcome update a rho a^dagger of two matrices already
-    checked by as_matrix.  Its round-off leaves it Hermitian only nearly;
-    quantum's stacked outcome update gives the same bits for each pair."""
-    _same_dim(a, rho)
-    return a @ rho @ a.conj().T
 
 
 def check_orthonormal(columns: np.ndarray, error: type[Exception],

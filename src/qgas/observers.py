@@ -9,6 +9,10 @@ Cross-sector coherences are dropped, which is exactly what "cannot tell the
 sectors apart" means operationally.  Membranes written in the observer's space
 reach the lab through the dual channel A -> sum_k V_k^dag A V_k.
 
+An ``Observer`` checks and snaps its sector stack however it is built, as
+``Povm`` does its effects (``linalg.isometry``: sum_k V_k^dag V_k = I).  Both
+channels are one ``quantum._updates`` product summed over sectors.
+
 An observer's view of the lab is itself a lab state (``view``): the same
 chambers, volumes and moles, with every state coarse-grained into the
 observer's space, whose dimension is the view's lab dimension.
@@ -27,17 +31,27 @@ import numpy as np
 
 from . import linalg
 from .errors import BasisError, DimensionError, EmbeddingError
-from .quantum import Povm, StatisticalMatrix
+from .quantum import Povm, StatisticalMatrix, _updates
 from .thermo import Chamber, LabState
 
 
 @dataclass(frozen=True, eq=False)
 class Observer:
     """Named coarse-graining channel: one read-only (k, obs_dim, lab_dim)
-    array whose slices are the isometries of its k sectors."""
+    array whose slices are the isometries of its k sectors, checked to be
+    trace preserving and snapped to their polar factor when built."""
 
     name: str
     sector_isometries: np.ndarray
+
+    def __post_init__(self):
+        v = linalg._as_array(self.sector_isometries, "observer sector stack")
+        if v.ndim != 3 or not all(1 <= d <= linalg.MAX_DIM for d in v.shape[1:]):
+            raise DimensionError(f"expected a (sectors, obs_dim, lab_dim) stack of"
+                                 f" dims 1..{linalg.MAX_DIM}, got shape {v.shape}")
+        stacked = linalg.isometry(v.reshape(-1, v.shape[2]), BasisError,
+                                  "channel is not trace preserving")
+        object.__setattr__(self, "sector_isometries", stacked.reshape(v.shape))
 
     @property
     def obs_dim(self) -> int:
@@ -88,15 +102,11 @@ def build_observer(table, obs_dim: int, name: str = "observer") -> Observer:
     for k, sector in enumerate(sectors):
         for lab, obs in sector:
             v[k] += np.outer(obs, lab.conj())
-    # sum_k V_k^dag V_k = I: the stacked isometries have orthonormal columns
-    stacked = linalg.isometry(v.reshape(-1, lab_dim), BasisError,
-                              "channel is not trace preserving")
-    return Observer(name, stacked.reshape(v.shape))
+    return Observer(name, v)
 
 
 def identity_observer(dim: int, name: str = "identity") -> Observer:
-    eye = np.eye(dim)
-    return build_observer([(eye[i], eye[i]) for i in range(dim)], dim, name)
+    return Observer(name, np.eye(dim)[None])
 
 
 def coarse_grain(obs: Observer, rho: StatisticalMatrix) -> StatisticalMatrix:
@@ -106,8 +116,8 @@ def coarse_grain(obs: Observer, rho: StatisticalMatrix) -> StatisticalMatrix:
         raise DimensionError(
             f"state dim {rho.dim} does not match lab dim {obs.lab_dim}"
         )
-    out = sum(v @ rho.matrix @ v.conj().T for v in obs.sector_isometries)
-    return StatisticalMatrix._derived(out[None], [rho.label])[0]
+    out = _updates(obs.sector_isometries, rho.matrix[None]).sum(1)
+    return StatisticalMatrix._derived(out, [rho.label])[0]
 
 
 def lift_through(obs: Observer, povm: Povm) -> Povm:
@@ -124,11 +134,8 @@ def lift_through(obs: Observer, povm: Povm) -> Povm:
     for k, v in enumerate(obs.sector_isometries):
         linalg.check_orthonormal(v.conj().T, EmbeddingError,
                                  f"sector {k} does not realize the observer space")
-    lifted = tuple(
-        sum(v.conj().T @ a @ v for v in obs.sector_isometries)
-        for a in povm.effects
-    )
-    return Povm(lifted, povm.outcome_labels)
+    v_dag = obs.sector_isometries.conj().swapaxes(-1, -2)
+    return Povm(_updates(v_dag, povm.effects).sum(1), povm.outcome_labels)
 
 
 def view(obs: Observer, lab: LabState) -> LabState:

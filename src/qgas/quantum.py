@@ -21,12 +21,12 @@ stores the same exactly Hermitian matrices, runs no eigensolver and checks
 only their traces, which guard the four formulas: the POVM effects
 (rotations among them) and observer sectors they apply are made exact
 once built (``linalg.isometry``), and outcome updates normalize by the
-traces they read.  Outcome updates have one rule, the private
-``_updates``: every effect of a POVM applied to a stack of states in one
-stacked product, each entry bit for bit the single-matrix A rho A^dag.  ``measure``
-normalizes those of one state into (probability, post state) pairs,
-``thermo.rotate`` takes the one of its one effect and ``thermo.mix``
-reads the traces of two.
+traces they read.  Every Kraus product A X A^dag has one rule, the private
+``_updates``: a stack of operators applied to a stack of matrices in one
+product, each entry bit for bit the single-matrix A X A^dag.  The operators
+are POVM effects (``measure``, ``thermo.mix``), a rotation's one effect
+(``thermo.rotate``), observer sectors (``observers.coarse_grain``) and
+their adjoints (``observers.lift_through``).
 
 The best separating membranes (``optimal_separation_povm``) are a function
 of a chamber's aggregate state alone: the projectors of
@@ -160,17 +160,11 @@ class Povm:
         return f"<povm {{{', '.join(self.outcome_labels)}}} dim={self.dim}>"
 
 
-def _updates(povm: Povm, states) -> tuple[np.ndarray, np.ndarray]:
-    """A_i rho_j A_i^dag for every effect A_i of the POVM and each of a
-    non-empty sequence of states rho_j, in one stacked product: a (states,
-    effects, d, d) stack, and its traces as a (states, effects) array."""
-    for rho in states:
-        if rho.dim != povm.dim:
-            raise DimensionError(f"povm dim {povm.dim} vs state dim {rho.dim}")
-    e = povm.effects
-    raw = e @ np.array([rho.matrix for rho in states])[:, None] \
-        @ e.conj().swapaxes(-1, -2)
-    return raw, raw.trace(axis1=-2, axis2=-1).real
+def _updates(ops: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """A_i X_j A_i^dag for every operator A_i of a (k, m, d) stack and every
+    matrix X_j of an (n, d, d) stack, in one stacked product: an (n, k, m, m)
+    array.  Callers check the dimensions and read the traces they need."""
+    return ops @ matrices[:, None] @ ops.conj().swapaxes(-1, -2)
 
 
 def measure(povm: Povm, rho: StatisticalMatrix
@@ -183,7 +177,10 @@ def measure(povm: Povm, rho: StatisticalMatrix
     nothing left to normalize).  Post-state traces are checked in outcome
     order.
     """
-    (raw,), (traces,) = _updates(povm, [rho])
+    if rho.dim != povm.dim:
+        raise DimensionError(f"povm dim {povm.dim} vs state dim {rho.dim}")
+    raw = _updates(povm.effects, rho.matrix[None])[0]
+    traces = raw.trace(axis1=-2, axis2=-1).real
     kept = traces >= linalg.ZERO_PROB
     posts = iter(StatisticalMatrix._derived(
         raw[kept] / traces[kept][:, None, None],

@@ -300,7 +300,9 @@ def mix(lab: LabState, a: str, b: str, povm: Povm, name: str,
         raise DomainError("cannot mix a chamber with itself")
     cha, chb = lab.chamber(a), lab.chamber(b)
     _check_povm_dim(lab, povm)
-    _, traces = _updates(povm, [aggregate_state(cha), aggregate_state(chb)])
+    raw = _updates(povm.effects, np.array([aggregate_state(cha).matrix,
+                                           aggregate_state(chb).matrix]))
+    traces = raw.trace(axis1=-2, axis2=-1).real
     for (pa, pb), label in zip(traces.T.tolist(), povm.outcome_labels):
         passes_a = pa >= 1.0 - tol and pb <= tol
         passes_b = pb >= 1.0 - tol and pa <= tol
@@ -359,7 +361,7 @@ def rotate(lab: LabState, chamber: str, rotation: Povm,
         raise DomainError(f"a rotation has one effect, got {len(rotation)}")
     # an unfilled chamber stays unfilled
     state = None if ch.state is None else StatisticalMatrix._derived(
-        _updates(rotation, [ch.state])[0][0])[0]
+        _updates(rotation.effects, ch.state.matrix[None])[0])[0]
     rotated = Chamber(ch.name, ch.volume, ch.moles, state)
     new_lab = _replace_chambers(lab, [chamber], [rotated])
     desc = f"rotate {chamber} by a {rotation.outcome_labels[0]}"

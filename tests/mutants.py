@@ -34,11 +34,8 @@ MUTANTS = [
      "label = None",
      "a mean state keeps the label all its inputs share"),
     ("quantum.py",
-     "raw = e @ np.array([rho.matrix for rho in states])[:, None] \\\n"
-     "        @ e.conj().swapaxes(-1, -2)",
-     "raw = e.conj().swapaxes(-1, -2) @ np.array([rho.matrix for rho in states])"
-     "[:, None] \\\n"
-     "        @ e",
+     "return ops @ matrices[:, None] @ ops.conj().swapaxes(-1, -2)",
+     "return ops.conj().swapaxes(-1, -2) @ matrices[:, None] @ ops",
      "an outcome update, rotate's among them, maps rho to A rho A^dagger"),
     ("thermo.py",
      "    if len(rotation) != 1:\n"
@@ -80,6 +77,18 @@ MUTANTS = [
      "None if ch.state is None else coarse_grain(obs, ch.state))",
      "ch.state)",
      "a view chamber holds the coarse-grained state"),
+    ("observers.py",
+     'object.__setattr__(self, "sector_isometries", stacked.reshape(v.shape))',
+     'object.__setattr__(self, "sector_isometries", v)',
+     "an observer keeps the polar factor of the sector stack it checked"),
+    ("observers.py",
+     "out = _updates(obs.sector_isometries, rho.matrix[None]).sum(1)",
+     "out = _updates(obs.sector_isometries[:1], rho.matrix[None]).sum(1)",
+     "coarse_grain sums over every sector"),
+    ("observers.py",
+     "v_dag = obs.sector_isometries.conj().swapaxes(-1, -2)",
+     "v_dag = obs.sector_isometries",
+     "lift_through lifts each effect by the dual channel, V^dag A V"),
     ("thermo.py",
      "            if ch.state is not None and ch.state.dim != self.lab_dim:\n"
      "                raise DimensionError(",

@@ -25,7 +25,7 @@ from util import (
 )
 from qgas import linalg
 from qgas.errors import QgasError
-from qgas.observers import build_observer, coarse_grain
+from qgas.observers import Observer, build_observer, coarse_grain
 from qgas.quantum import (
     Povm,
     StatisticalMatrix,
@@ -252,7 +252,8 @@ def test_stacked_updates_equal_the_single_matrix_formulas(dim):
     for _ in range(20):
         povm = random_povm(rng, dim, int(rng.integers(1, 9)))
         states = [random_state(rng, dim) for _ in range(2)]
-        raw, traces = _updates(povm, states)
+        raw = _updates(povm.effects, np.array([rho.matrix for rho in states]))
+        traces = raw.trace(axis1=-2, axis2=-1).real
         for j, rho in enumerate(states):
             for i, (a, (p, post)) in enumerate(zip(povm.effects, measure(povm, rho))):
                 single = a @ rho.matrix @ a.conj().T
@@ -271,3 +272,43 @@ def test_stacked_updates_equal_the_single_matrix_formulas(dim):
             mean, hermitian(0.25 * states[0].matrix + 0.75 * states[1].matrix))
         rotated = rotate(joined, "c", rotation)[0].chamber("c").state
         assert np.array_equal(rotated.matrix, hermitian(u @ mean @ u.conj().T))
+
+
+def random_observer(rng, lab_dim, obs_dim, sectors):
+    """An observer whose stacked sectors are the orthonormal columns of a
+    random (sectors * obs_dim, lab_dim) matrix."""
+    c = rng.normal(size=(sectors * obs_dim, lab_dim)) \
+        + 1j * rng.normal(size=(sectors * obs_dim, lab_dim))
+    q, _ = np.linalg.qr(c)
+    return Observer("random", q.reshape(sectors, obs_dim, lab_dim))
+
+
+@pytest.mark.parametrize("dim", range(1, linalg.MAX_DIM + 1))
+def test_stacked_sector_products_equal_the_single_matrix_formulas(dim):
+    """coarse_grain and lift_through apply every sector V_k, or its dual,
+    in one stacked product: each slice equals the one-matrix V rho V^dag
+    or V^dag A V bit for bit.  The sum over sectors is numpy's, which is
+    pairwise over many 1 x 1 sectors, so it is pinned within 1e-15 of the
+    sum in sector order, not bit for bit."""
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(20):
+        obs_dim = int(rng.integers(1, linalg.MAX_DIM + 1))
+        sectors = int(rng.integers(-(-dim // obs_dim), 9))
+        obs = random_observer(rng, dim, obs_dim, sectors)
+        v = obs.sector_isometries
+        rho = random_state(rng, dim)
+        effects = random_povm(rng, obs_dim, int(rng.integers(1, 5))).effects
+        grained = _updates(v, rho.matrix[None])
+        lifted = _updates(v.conj().swapaxes(-1, -2), effects)
+        assert grained.shape == (1, sectors, obs_dim, obs_dim)
+        assert lifted.shape == (len(effects), sectors, dim, dim)
+        for k, vk in enumerate(v):
+            assert np.array_equal(grained[0, k], vk @ rho.matrix @ vk.conj().T)
+            for i, a in enumerate(effects):
+                assert np.array_equal(lifted[i, k], vk.conj().T @ a @ vk)
+        in_order = sum(vk @ rho.matrix @ vk.conj().T for vk in v)
+        assert np.max(np.abs(coarse_grain(obs, rho).matrix
+                             - hermitian(in_order))) <= 1e-15
+        for i, a in enumerate(effects):
+            in_order = sum(vk.conj().T @ a @ vk for vk in v)
+            assert np.max(np.abs(lifted[i].sum(0) - in_order)) <= 1e-15

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALPHA_MINUS, ALPHA_PLUS, ALPHA_PLUS_KET, MIXTURE, R2, X_PLUS, Z_MINUS, Z_PLUS
+from conftest import ALPHA_MINUS, ALPHA_PLUS, ALPHA_PLUS_KET, MIXTURE, R2, X_PLUS, Z_PLUS
 from util import random_hermitian, random_unitary
 from qgas import linalg
 from qgas.errors import DimensionError, DomainError, NotHermitianError
@@ -47,39 +47,6 @@ def test_trace_product_hermitian_inputs_near_real(rng):
         b = random_hermitian(rng, 4)
         t = linalg.trace_product(a, b)
         assert abs(t.imag) <= 1e-12 * max(1.0, abs(t))
-
-
-def test_conjugate_identity():
-    assert np.allclose(linalg.conjugate(np.eye(2), Z_PLUS), Z_PLUS)
-
-
-def test_conjugate_z_on_x():
-    # hand multiplication: z+ x+ z+ has a single 1/2 entry at (0, 0)
-    expected = np.zeros((2, 2), dtype=complex)
-    expected[0, 0] = 0.5
-    assert np.allclose(linalg.conjugate(Z_PLUS, X_PLUS), expected, atol=1e-15)
-
-
-def test_conjugate_orthogonal_annihilates():
-    out = linalg.conjugate(Z_MINUS, Z_PLUS)
-    assert np.max(np.abs(out)) < 1e-15
-
-
-def test_conjugate_preserves_hermiticity_and_positivity(rng):
-    for _ in range(100):
-        n = int(rng.integers(2, 5))
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        rho = c @ c.conj().T
-        rho /= np.trace(rho)
-        out = linalg.conjugate(a, rho)
-        assert np.max(np.abs(out - out.conj().T)) < 1e-12
-        assert np.min(np.linalg.eigvalsh((out + out.conj().T) / 2)) >= -1e-10
-
-
-def test_conjugate_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        linalg.conjugate(np.eye(2), np.eye(3))
 
 
 def test_hermitian_eig_already_diagonal():

@@ -20,6 +20,7 @@ from conftest import (
 from util import random_povm, random_state, random_unitary
 from qgas.errors import BasisError, DimensionError, EmbeddingError
 from qgas.observers import (
+    Observer,
     build_observer,
     coarse_grain,
     equivalence_mismatch,
@@ -97,6 +98,38 @@ class TestBuildObserver:
         with pytest.raises(BasisError):
             build_observer([(E4[0], E2[0]), (E4[1], E2[1])], 2)
 
+
+class TestObserverChecksItself:
+    """An Observer built directly is checked and snapped as build_observer's
+    is: its stacked sectors must have orthonormal columns."""
+
+    @pytest.mark.parametrize("stack, error, message", [
+        (np.zeros((1, 2, 2)), BasisError, "channel is not trace preserving"),
+        (np.full((1, 2, 2), np.nan), BasisError, "channel is not trace preserving"),
+        (np.zeros((0, 2, 2)), BasisError, "channel is not trace preserving"),
+        (np.eye(2), DimensionError, r"got shape \(2, 2\)"),
+        (np.eye(9)[:, :2][None], DimensionError, r"got shape \(1, 9, 2\)"),
+        ([[[1, 0]], [[1]]], DimensionError, "not a regular array"),
+    ], ids=["zeros", "nan", "no-sectors", "2-d", "obs-dim-9", "ragged"])
+    def test_rejects(self, stack, error, message):
+        with pytest.raises(error, match=message):
+            Observer("o", stack)
+
+    def test_nearly_isometric_stack_is_snapped_and_read_only(self):
+        stack = tatiana().sector_isometries + 1e-11
+        gap = np.abs(np.einsum("kji,kjl->il", stack.conj(), stack) - np.eye(4))
+        assert np.max(gap) > 1e-11
+        v = Observer("o", stack).sector_isometries
+        gap = np.abs(np.einsum("kji,kjl->il", v.conj(), v) - np.eye(4))
+        assert np.max(gap) <= 1e-15
+        assert np.max(np.abs(v - stack)) <= 1e-10
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0, 0] = 1
+
+    def test_identity_observer_of_dim_zero(self):
+        with pytest.raises(DimensionError):
+            identity_observer(0)
 
 class TestCoarseGrain:
     def test_both_species_look_like_z(self):

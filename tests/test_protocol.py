@@ -877,9 +877,9 @@ class TestGrowthProtocol:
     def test_each_separation_updates_one_state(self, monkeypatch):
         sizes = []
 
-        def counting(povm, states):
-            sizes.append(len(states))
-            return updates(povm, states)
+        def counting(ops, matrices):
+            sizes.append(len(matrices))
+            return updates(ops, matrices)
 
         updates = quantum._updates
         monkeypatch.setattr(quantum, "_updates", counting)
