@@ -75,15 +75,26 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _norm(k: np.ndarray) -> float:
+    """np.linalg.norm of a complex vector, bit for bit: numpy's own formula
+    without its call overhead."""
+    re, im = k.real, k.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def as_ket(v) -> np.ndarray:
-    """Coerce v to a unit vector: normalization is applied, then checked."""
+    """Coerce v to a unit vector: normalization is applied, then checked.
+    A complex vector whose norm is exactly 1.0 is returned as is, since
+    dividing it by 1.0 would change no bit."""
     k = _as_array(v, "ket")
     if k.ndim != 1:
         raise DimensionError(f"expected a flat ket, got shape {k.shape}")
     if not 1 <= k.size <= MAX_DIM:
         raise DimensionError(f"ket length {k.size} outside 1..{MAX_DIM}")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(k))
+        norm = _norm(k)
+    if norm == 1.0:
+        return k
     if not KET_RESCALE_BELOW <= norm < math.inf:
         if not np.isfinite(k).all():
             raise DomainError("ket has a non-finite entry (nan or inf)")
@@ -92,9 +103,9 @@ def as_ket(v) -> np.ndarray:
         # part by part: complex division by a subnormal gives nan
         top = np.max(np.abs(k))
         k = k.real / top + 1j * (k.imag / top)
-        norm = float(np.linalg.norm(k))
+        norm = _norm(k)
     k = k / norm
-    if abs(float(np.linalg.norm(k)) - 1.0) > TRACE_TOL:
+    if abs(_norm(k) - 1.0) > TRACE_TOL:
         raise DomainError("ket normalization failed")
     return k
 
@@ -199,18 +210,26 @@ def canonical_basis(p: np.ndarray) -> np.ndarray:
     return q[:, :k]
 
 
+def tied_runs(w: list[float]) -> list[tuple[int, int]]:
+    """(start, stop) of each run of two or more descending eigenvalues w
+    whose neighbours agree within TIE_TOL: the degenerate eigenspaces."""
+    runs = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i - 1] - w[i] > TIE_TOL:
+            if i - start > 1:
+                runs.append((start, i))
+            start = i
+    return runs
+
+
 def _canonicalize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Eigenvectors v of descending eigenvalues w in canonical form: each run
     of neighbours within 1e-10 shares one eigenspace, given its canonical
     basis when degenerate, and every vector is phased by _fix_phase."""
-    wl = w.tolist()
-    start = 0
-    for i in range(1, len(wl) + 1):
-        if i == len(wl) or wl[i - 1] - wl[i] > TIE_TOL:
-            if i - start > 1:
-                b = v[:, start:i]
-                v[:, start:i] = canonical_basis(b @ b.conj().T)
-            start = i
+    for start, stop in tied_runs(w.tolist()):
+        b = v[:, start:stop]
+        v[:, start:stop] = canonical_basis(b @ b.conj().T)
     return np.column_stack([_fix_phase(c) for c in v.T])
 
 

@@ -82,21 +82,64 @@ KEYWORDS = frozenset(
 # tokens
 
 class _Token(NamedTuple):
-    kind: str  # id | number | imag | punct | sign | end
+    kind: str  # id | number | imag | punct | sign | vector | end
     text: str
     column: int
-    value: float = 0.0
+    # a number's or imag's float; a vector's tuple of complex values
+    value: float | tuple[complex, ...] = 0.0
 
 
-_NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(i?)")
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(rf"([+-]?{_NUM})(i?)")
 # the rest of an identifier; a '-' before '>' starts an arrow instead
 _IDENT_RE = re.compile(r"[\w+]*(?:-(?!>)[\w+]*)*")
 _PUNCT = set("{}[],:=")
 
+# A complex literal as expect_complex reads its tokens: a real, then
+# optionally an imaginary part signed on its own (a+bi, a -bi) or after a
+# lone sign (a + bi, a - -bi).  Its groups are the real, the self-signed
+# imaginary part, the lone sign and the imaginary part after it.
+_WS = r"[ \t\r]*"
+_COMPLEX = (rf"([+-]?{_NUM})(?:{_WS}(?:([+-]{_NUM})i"
+            rf"|([+-])(?![\d.]){_WS}([+-]?{_NUM})i))?")
+_COMPLEX_RE = re.compile(_COMPLEX)
+# A '[' opening a list of complex literals that the classic tokens would
+# read without error: it becomes one vector token.
+_VECTOR_RE = re.compile(rf"\[{_WS}{_COMPLEX}(?:{_WS},{_WS}{_COMPLEX})*{_WS}\]")
+
+
+def _vector_values(span: str) -> tuple[complex, ...] | None:
+    """The values of a list matched by _VECTOR_RE, each computed as
+    expect_complex computes it, or None if one is not finite (the classic
+    tokens then raise the non-finite error at its column)."""
+    values = []
+    for real, signed, sign, imag in _COMPLEX_RE.findall(span):
+        x = float(real)
+        if signed:
+            y = float(signed)
+        elif sign:
+            y = float(imag)
+            y = -y if sign == "-" else y
+        else:
+            y = 0.0
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return None
+        values.append(complex(x, y))
+    return tuple(values)
+
+
+def _classic(vector: _Token, lineno: int) -> list[_Token]:
+    """A vector token's classic tokens: '[', then those of the rest of its
+    span, which holds no '['."""
+    rest = _tokenize(vector.text[1:], lineno)[:-1]
+    return [_Token("punct", "[", vector.column)] + [
+        tok._replace(column=tok.column + vector.column) for tok in rest]
+
 
 def _tokenize(text: str, lineno: int) -> list[_Token]:
     """The tokens of one line, closed by an ``end`` token at the column just
-    past the last one, where an end-of-line error points."""
+    past the last one, where an end-of-line error points.  A well-formed
+    list of finite complex literals is one vector token."""
     tokens = []
     i = 0
     n = len(text)
@@ -112,6 +155,13 @@ def _tokenize(text: str, lineno: int) -> list[_Token]:
             tokens.append(_Token("punct", "->", col))
             i += 2
             continue
+        if c == "[":
+            m = _VECTOR_RE.match(text, i)
+            values = m and _vector_values(m.group())
+            if values:
+                tokens.append(_Token("vector", m.group(), col, values))
+                i = m.end()
+                continue
         if c in _PUNCT:
             tokens.append(_Token("punct", c, col))
             i += 1
@@ -157,7 +207,13 @@ class _Cursor:
         raise ParseError(self.lineno, token.column, message, token.text)
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        tok = self.tokens[self.pos]
+        if tok.kind == "vector":
+            # every reader but vector() sees a vector as its classic tokens
+            self.tokens = (self.tokens[:self.pos] + _classic(tok, self.lineno)
+                           + self.tokens[self.pos + 1:])
+            tok = self.tokens[self.pos]
+        return tok
 
     def accept(self, word: str) -> bool:
         if self.peek().text == word:
@@ -207,6 +263,15 @@ class _Cursor:
             imag = self.take("imag", "an imaginary literal after sign").value
             return complex(real, -imag if tok.text == "-" else imag)
         return complex(real, 0.0)
+
+    def vector(self) -> tuple[complex, ...]:
+        """``[ complex (, complex)* ]``: a vector token's values, else the
+        same list read from classic tokens."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "vector":
+            self.pos += 1
+            return tok.value
+        return self.comma_list(self.expect_complex, "[", "]")
 
     def comma_list(self, item, open: str, close: str) -> tuple:
         """``open item (, item)* close``, each item read by ``item()``."""
@@ -377,8 +442,7 @@ class KetDecl(_Node):
     def parse(cls, cur: _Cursor):
         name = cur.declare("ket")
         cur.expect("=")
-        return cls(name, cur.comma_list(cur.expect_complex, "[", "]"),
-                   line=cur.lineno)
+        return cls(name, cur.vector(), line=cur.lineno)
 
     def render(self) -> str:
         return f"ket {self.name} = {_fmt_vector(self.amplitudes)}"
@@ -400,8 +464,7 @@ class GasDecl(_Node):
             cur.expect("ket")
             return cls(name, ket=cur.need("ket"), line=cur.lineno)
         cur.expect("matrix")
-        rows = cur.comma_list(
-            lambda: cur.comma_list(cur.expect_complex, "[", "]"), "[", "]")
+        rows = cur.comma_list(cur.vector, "[", "]")
         return cls(name, matrix=rows, line=cur.lineno)
 
     def render(self) -> str:

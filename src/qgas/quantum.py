@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, PovmError, StateError
+from .errors import DimensionError, DomainError, PovmError, StateError
 
 
 def _check_trace(tr: float) -> None:
@@ -204,9 +204,18 @@ def optimal_separation_povm(state: StatisticalMatrix) -> Povm:
     per eigenvector in descending eigenvalue, outcomes named eig0, eig1, ...
 
     They depend on the density matrix, not on how its gases were mixed:
-    every preparation that state describes gets the same membranes.  A
-    degenerate eigenspace is split along the lab axes
-    (linalg.canonical_basis), a choice of coordinates, not a function of
-    the density matrix."""
-    _, p = linalg.eigenprojectors(state.matrix)
+    every preparation that state describes gets the same membranes.  So a
+    state with a degenerate kept eigenvalue (two above linalg.PRUNE_TOL
+    agreeing within linalg.TIE_TOL) raises DomainError naming its
+    multiplicity: its eigenbasis, and with it the membranes, would be a
+    choice of coordinates, not a function of the density matrix."""
+    w, p = linalg.eigenprojectors(state.matrix)
+    kept = w[w > linalg.PRUNE_TOL].tolist()
+    ties = linalg.tied_runs(kept)
+    if ties:
+        start, stop = ties[0]
+        raise DomainError(
+            f"the aggregate state has eigenvalue {kept[start]:.12g} of"
+            f" multiplicity {stop - start}, so its eigenbasis is not unique;"
+            f" name the membranes with a povm")
     return Povm(tuple(p), tuple(f"eig{i}" for i in range(len(p))))

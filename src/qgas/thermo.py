@@ -364,7 +364,9 @@ def rotate(lab: LabState, chamber: str, rotation: Povm,
         _updates(rotation.effects, ch.state.matrix[None])[0])[0]
     rotated = Chamber(ch.name, ch.volume, ch.moles, state)
     new_lab = _replace_chambers(lab, [chamber], [rotated])
-    desc = f"rotate {chamber} by a {rotation.outcome_labels[0]}"
+    # a Povm built without labels names its one outcome "0"
+    label = rotation.outcome_labels[0]
+    desc = f"rotate {chamber} by a {'unitary' if label == '0' else label}"
     return new_lab, LedgerEvent(step_index, "rotate", 0.0, desc)
 
 

@@ -1,5 +1,5 @@
-"""Mutation check of the chamber core, the numerics under it and observer
-views: tier-1 must fail on every mutant.
+"""Mutation check of the chamber core, the numerics under it, observer
+views and the protocol reader: tier-1 must fail on every mutant.
 
 Each entry of MUTANTS is (file under src/qgas, exact old text, new text,
 the invariant the mutant breaks).  For each one the runner copies ``src/``
@@ -106,6 +106,22 @@ MUTANTS = [
      "            c = c - kept @ (kept.conj().T @ c)\n",
      "",
      "canonical_basis projects and orthogonalizes a kept residual once more"),
+    ("protocol.py",
+     'y = -y if sign == "-" else y',
+     "y = y",
+     "a vector's a - bi and a + -bi negate their imaginary part as the tokens do"),
+    ("linalg.py",
+     "    if norm == 1.0:\n        return k\n",
+     "    if norm >= 1.0:\n        return k\n",
+     "as_ket passes through only a ket whose norm is exactly 1.0"),
+    ("quantum.py",
+     "    if ties:\n",
+     "    if False:\n",
+     "by eigenbasis rejects an aggregate with a degenerate kept eigenvalue"),
+    ("quantum.py",
+     "kept = w[w > linalg.PRUNE_TOL].tolist()",
+     "kept = w.tolist()",
+     "by eigenbasis allows ties among the eigenvalues it drops"),
 ]
 
 

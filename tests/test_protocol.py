@@ -1,6 +1,7 @@
 import math
 import re
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,6 +401,96 @@ def test_token_edits_parse_or_fail_cleanly(rng):
     assert 0 < parsed < 500
 
 
+# A '[' opening a list of complex literals is read as one vector token.
+# Everything below parses each source with that reader and with it switched
+# off (a pattern that never matches), where every list is read token by
+# token, and requires the same nodes, node lines and rendered text, or the
+# same ParseError text.
+_NO_VECTORS = re.compile(r"(?!)")
+_MUTATION_CHARS = "0123456789.+-eEi ,[]x#"
+
+
+def _parse_outcome(source):
+    try:
+        ast = parse(source)
+    except ParseError as err:
+        return str(err)
+    nodes = ast.declarations + ast.steps
+    # repr holds each value bit for bit, -0.0 included
+    return render(ast), [node.line for node in nodes], repr(ast)
+
+
+def _both_readers(monkeypatch, sources):
+    with_vectors = [_parse_outcome(source) for source in sources]
+    with monkeypatch.context() as m:
+        m.setattr(protocol, "_VECTOR_RE", _NO_VECTORS)
+        classic = [_parse_outcome(source) for source in sources]
+    return with_vectors, classic
+
+
+def _one_char_edit(rng, source):
+    """Delete, replace or insert one character, three times in four inside
+    a bracketed list."""
+    spans = [m.span() for m in re.finditer(r"\[[^\n\]]*\]", source)]
+    lo, hi = (spans[int(rng.integers(len(spans)))] if spans and rng.random() < 0.75
+              else (0, len(source)))
+    i = int(rng.integers(lo, hi))
+    c = _MUTATION_CHARS[int(rng.integers(len(_MUTATION_CHARS)))]
+    op = int(rng.integers(3))
+    return source[:i] + ("" if op == 0 else c) + source[i + (op != 2):]
+
+
+def test_a_complex_list_is_one_vector_token():
+    tokens = protocol._tokenize("ket k = [ 1+-2i , 3 - -4i,.5e-3-.2E+2i ]x", 1)
+    assert [t.kind for t in tokens] == ["id", "id", "punct", "vector", "id", "end"]
+    assert tokens[3].value == (complex(1, -2), complex(3, 4), complex(5e-4, -20))
+    assert tokens[3].column == 9 and tokens[4].column == 41
+
+
+def test_vector_reader_parses_as_the_classic_tokens(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    demos = [protocol.demo_source(name) for name in protocol.DEMO_NAMES]
+    generated = [[p.text for p in workloads.generate(name, seed)]
+                 for name in ("eigen-d8", "long-script") for seed in (1, 2)]
+    rng = np.random.default_rng(28)
+    # of each generator's shortest protocol per seed, only the declarations,
+    # which hold all its literals, are edited: the steps take most of the time
+    heads = [texts[0][:texts[0].index("checkpoint ")] for texts in generated]
+    edited = [_one_char_edit(rng, source) for source in demos + heads
+              for _ in range(40)]
+    sources = demos + [text for texts in generated for text in texts] + edited
+    with_vectors, classic = _both_readers(monkeypatch, sources)
+    assert with_vectors == classic
+    failed = sum(isinstance(outcome, str) for outcome in with_vectors)
+    assert 100 < failed < len(edited)
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("ket k = [1+-2i]", (complex(1, -2),)),
+    ("ket k = [3 - -4i]", (complex(3, 4),)),
+    ("ket k = [.5e-3-.2E+2i, 1]", (complex(5e-4, -20), complex(1, 0))),
+    ("ket k = [1 -0i, -0]", (complex(1, -0.0), complex(-0.0, 0))),
+    ("ket k = [- 1, 0]", "line 2, column 10: expected a number (at '-')"),
+    ("ket k = [1x, 0]", "line 2, column 11: expected ']' (at 'x')"),
+    ("ket k = [1.5.5, 0]", "line 2, column 13: expected ']' (at '.5')"),
+    ("ket k = [1e999, 0]", "line 2, column 10: non-finite number (at '1e999')"),
+    ("ket k = []", "line 2, column 10: expected a number (at ']')"),
+    ("ket k = [1,,0]", "line 2, column 12: expected a number (at ',')"),
+    ("gas g matrix [0.5, 0]", "line 2, column 15: expected '[' (at '0.5')"),
+    ("chamber [1, 0] volume 1", "line 2, column 9: expected chamber name (at '[')"),
+])
+def test_edge_literals_read_alike(monkeypatch, line, expected):
+    with_vectors, classic = _both_readers(monkeypatch, ["space lab dim 2\n" + line])
+    assert with_vectors == classic
+    (outcome,) = with_vectors
+    if isinstance(expected, str):
+        assert outcome == expected
+    else:
+        values = parse("space lab dim 2\n" + line).declarations[1].amplitudes
+        assert repr(values) == repr(expected)
+
+
 class TestExecute:
     def test_mini_protocol(self):
         result = execute(parse(MINI))
@@ -429,16 +520,18 @@ class TestExecute:
         assert len(calls) == 1
 
     def test_one_density_matrix_gives_one_set_of_membranes(self, monkeypatch):
-        # z+/z- and x+/x- half and half are different preparations of I/2
+        # z+/z- at 0.7/0.3 and t+/t- = (sqrt .7, +-sqrt .3) half and half are
+        # different preparations of the non-degenerate diag(0.7, 0.3)
+        a, b = repr(math.sqrt(0.7)), repr(math.sqrt(0.3))
         source = (
             "space lab dim 2\ntemp 1.5\nket z+ = [1, 0]\nket z- = [0, 1]\n"
-            "ket x+ = [1, 1]\nket x- = [1, -1]\n"
-            + "".join(f"gas g{k} from ket {k}\n" for k in ("z+", "z-", "x+", "x-"))
-            + "chamber z volume 1\nchamber x volume 1\n"
-            "fill z { gz+ : 0.5, gz- : 0.5 } moles 0.75\n"
-            "fill x { gx+ : 0.5, gx- : 0.5 } moles 0.75\n"
+            f"ket t+ = [{a}, {b}]\nket t- = [{a}, -{b}]\n"
+            + "".join(f"gas g{k} from ket {k}\n" for k in ("z+", "z-", "t+", "t-"))
+            + "chamber z volume 1\nchamber t volume 1\n"
+            "fill z { gz+ : 0.7, gz- : 0.3 } moles 0.75\n"
+            "fill t { gt+ : 0.5, gt- : 0.5 } moles 0.75\n"
             "separate z by eigenbasis into z0 z1\n"
-            "separate x by eigenbasis into x0 x1\n"
+            "separate t by eigenbasis into t0 t1\n"
         )
         membranes = []
         optimal = protocol.optimal_separation_povm
@@ -449,11 +542,28 @@ class TestExecute:
 
         monkeypatch.setattr(protocol, "optimal_separation_povm", recording)
         events = execute(parse(source)).ledger.events
-        from_z, from_x = membranes
+        from_z, from_t = membranes
         assert all(np.array_equal(a, b)
-                   for a, b in zip(from_z.effects, from_x.effects, strict=True))
+                   for a, b in zip(from_z.effects, from_t.effects, strict=True))
+        entropy = -(0.7 * math.log(0.7) + 0.3 * math.log(0.3))
         assert [e.heat_absorbed_by_gas for e in events] == pytest.approx(
-            [-0.75 * 1.5 * LN2] * 2, abs=1e-12)
+            [-0.75 * 1.5 * entropy] * 2, abs=1e-12)
+
+    def test_eigenbasis_rejects_a_degenerate_aggregate(self):
+        # z+/z- half and half is I/2: every basis is an eigenbasis of it
+        source = (
+            "space lab dim 2\nket z+ = [1, 0]\nket z- = [0, 1]\n"
+            "gas gz+ from ket z+\ngas gz- from ket z-\nchamber z volume 1\n"
+            "fill z { gz+ : 0.5, gz- : 0.5 } moles 1\n"
+            "checkpoint start\nseparate z by eigenbasis into z0 z1\n"
+        )
+        with pytest.raises(ProtocolRuntimeError) as info:
+            execute(parse(source))
+        assert info.value.step_index == 1
+        assert str(info.value) == (
+            "step 1 (line 9): the aggregate state has eigenvalue 0.5 of"
+            " multiplicity 2, so its eigenbasis is not unique; name the"
+            " membranes with a povm")
 
     def test_separate_keeps_a_small_mole_gas(self):
         # outcomes were pruned on absolute moles, so 1e-13 moles vanished

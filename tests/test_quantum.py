@@ -17,8 +17,10 @@ from conftest import (
     Z_PLUS,
 )
 from util import random_povm, random_state, random_unitary, skewed_ket
+from qgas import linalg
 from qgas.errors import (
     DimensionError,
+    DomainError,
     NotHermitianError,
     PovmError,
     StateError,
@@ -257,15 +259,26 @@ class TestOptimalSeparation:
         assert np.max(np.abs(povm.effects[0] - ALPHA_PLUS)) < 1e-10
         assert np.max(np.abs(povm.effects[1] - ALPHA_MINUS)) < 1e-10
 
-    def test_orthogonal_mixture_tie_break(self):
-        povm = optimal_separation_povm(sm((Z_PLUS + Z_MINUS) / 2))
-        assert np.max(np.abs(povm.effects[0] - Z_PLUS)) < 1e-12
-        assert np.max(np.abs(povm.effects[1] - Z_MINUS)) < 1e-12
+    def test_orthogonal_mixture_tie_is_rejected(self):
+        # I/2 has every basis for an eigenbasis: no membranes are the best
+        with pytest.raises(DomainError, match="eigenvalue 0.5 of multiplicity 2"):
+            optimal_separation_povm(sm((Z_PLUS + Z_MINUS) / 2))
+
+    def test_tie_among_near_equal_kept_eigenvalues_is_rejected(self):
+        # eigenvalues TIE_TOL / 2 apart tie, 2 TIE_TOL apart do not
+        step = linalg.TIE_TOL / 4
+        with pytest.raises(DomainError, match="multiplicity 2"):
+            optimal_separation_povm(sm(np.diag([0.5 + step, 0.5 - step])))
+        split = optimal_separation_povm(sm(np.diag([0.5 + 4 * step, 0.5 - 4 * step])))
+        assert np.max(np.abs(split.effects - np.array([Z_PLUS, Z_MINUS]))) < 1e-12
 
     def test_two_species_mixture_in_dim_4(self):
+        # unequal weights: the two kept eigenvalues differ, the two dropped
+        # zeros may tie
         primed_z = sm(np.outer(E0, E0))
         doubled_x = sm(np.outer((E2 + E3) / R2, (E2 + E3) / R2))
-        povm = optimal_separation_povm(sm((primed_z.matrix + doubled_x.matrix) / 2))
+        povm = optimal_separation_povm(
+            sm(0.7 * primed_z.matrix + 0.3 * doubled_x.matrix))
         assert len(povm) == 4
         assert np.max(np.abs(povm.effects[0] - primed_z.matrix)) < 1e-10
         assert np.max(np.abs(povm.effects[1] - doubled_x.matrix)) < 1e-10

@@ -340,6 +340,14 @@ class TestRotate:
         assert event.heat_absorbed_by_gas == 0.0
         assert event.description == "rotate c by a 1-ket mapping"
 
+    def test_unlabelled_rotation_reads_as_a_sentence(self):
+        lab = lab_with(chamber("c", 1.0, [(X_PLUS, 1.0)]))
+        swap = np.array([[0, 1], [1, 0]])
+        _, event = rotate(lab, "c", Povm((swap,)))
+        assert event.description == "rotate c by a unitary"
+        _, event = rotate(lab, "c", Povm((swap,), ("swap",)))
+        assert event.description == "rotate c by a swap"
+
     def test_identity_mapping(self):
         lab = lab_with(chamber("c", 1.0, [(X_PLUS, 1.0)]))
         u = rotation_unitary([(E2[0], E2[0]), (E2[1], E2[1])], 2)
@@ -608,13 +616,15 @@ def test_eigenprojectors_reject_eigenvectors_off_unit_norm(monkeypatch,
 
 
 def test_one_density_matrix_gives_one_set_of_membranes():
-    # two preparations of I/2, whose aggregates differ by round-off: the
-    # membranes see the density matrix alone
-    z_pair = chamber("z", 1.0, [(Z_PLUS, 0.5), (Z_MINUS, 0.5)])
-    x_pair = chamber("x", 1.0, [(StatisticalMatrix.pure(k).matrix, 0.5)
-                                for k in ([1, 1], [1, -1])])
+    # two preparations of the non-degenerate diag(0.7, 0.3): z+/z- at
+    # 0.7/0.3, and (sqrt .7, +-sqrt .3) half and half; the membranes see the
+    # density matrix alone
+    z_pair = chamber("z", 1.0, [(Z_PLUS, 0.7), (Z_MINUS, 0.3)])
+    t_pair = chamber("t", 1.0, [(StatisticalMatrix.pure(k).matrix, 0.5)
+                                for k in ([math.sqrt(0.7), math.sqrt(0.3)],
+                                          [math.sqrt(0.7), -math.sqrt(0.3)])])
     effects = [optimal_separation_povm(aggregate_state(ch)).effects
-               for ch in (z_pair, x_pair)]
+               for ch in (z_pair, t_pair)]
     assert all(np.array_equal(a, b) for a, b in zip(*effects, strict=True))
 
 
