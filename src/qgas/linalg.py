@@ -36,8 +36,7 @@ OVERLAP_TOL = 1e-10  # |tr(a b)| of states told apart with certainty
 FILL_SUM_TOL = 1e-9  # |sum f - 1| of a fill's typed fractions
 
 # Pruning: amounts at the state checks' round-off scale are noise, not gas.
-ZERO_PROB = 1e-12  # an outcome probability that leaves no post state
-PRUNE_TOL = 1e-12  # dropped moles, mole fractions, eigen-mixture weights
+PRUNE_TOL = 1e-12  # dropped outcomes, moles, mole fractions, eigen-mixture weights
 SAME_STATE_TOL = 1e-12  # default entrywise gap of StatisticalMatrix.close_to
 SNAP_TOL = 1e-12  # a printed number below this shows as 0
 

@@ -85,7 +85,8 @@ class _Token(NamedTuple):
     kind: str  # id | number | imag | punct | sign | vector | end
     text: str
     column: int
-    # a number's or imag's float; a vector's tuple of complex values
+    # a number's or imag's float; a vector's tuple of complex values, which
+    # only _Cursor.vector reads
     value: float | tuple[complex, ...] = 0.0
 
 
@@ -94,26 +95,31 @@ _NUMBER_RE = re.compile(rf"([+-]?{_NUM})(i?)")
 # the rest of an identifier; a '-' before '>' starts an arrow instead
 _IDENT_RE = re.compile(r"[\w+]*(?:-(?!>)[\w+]*)*")
 _PUNCT = set("{}[],:=")
+# A value list opens at a '[' after one of these: a ket's after '=', a
+# matrix row's after '[' or ','.
+_LIST_AFTER = ("=", "[", ",")
 
-# A complex literal as expect_complex reads its tokens: a real, then
-# optionally an imaginary part signed on its own (a+bi, a -bi) or after a
-# lone sign (a + bi, a - -bi).  Its groups are the real, the self-signed
-# imaginary part, the lone sign and the imaginary part after it.
+# One item of a value list: a complex literal as expect_complex reads its
+# tokens, between blanks.  A real, then optionally an imaginary part signed
+# on its own (a+bi, a -bi) or after a lone sign (a + bi, a - -bi).  Its
+# groups are the real, the self-signed imaginary part, the lone sign and
+# the imaginary part after it.
 _WS = r"[ \t\r]*"
-_COMPLEX = (rf"([+-]?{_NUM})(?:{_WS}(?:([+-]{_NUM})i"
-            rf"|([+-])(?![\d.]){_WS}([+-]?{_NUM})i))?")
-_COMPLEX_RE = re.compile(_COMPLEX)
-# A '[' opening a list of complex literals that the classic tokens would
-# read without error: it becomes one vector token.
-_VECTOR_RE = re.compile(rf"\[{_WS}{_COMPLEX}(?:{_WS},{_WS}{_COMPLEX})*{_WS}\]")
+_ITEM_RE = re.compile(rf"{_WS}([+-]?{_NUM})(?:{_WS}(?:([+-]{_NUM})i"
+                      rf"|([+-])(?![\d.]){_WS}([+-]?{_NUM})i))?{_WS}")
 
 
-def _vector_values(span: str) -> tuple[complex, ...] | None:
-    """The values of a list matched by _VECTOR_RE, each computed as
-    expect_complex computes it, or None if one is not finite (the classic
-    tokens then raise the non-finite error at its column)."""
+def _vector_values(inside: str) -> tuple[complex, ...] | None:
+    """The values of the items between a list's brackets, each computed as
+    expect_complex computes it, or None unless every item is one finite
+    complex literal (the classic tokens then read the list and raise its
+    error at its column)."""
     values = []
-    for real, signed, sign, imag in _COMPLEX_RE.findall(span):
+    for item in inside.split(","):
+        m = _ITEM_RE.fullmatch(item)
+        if not m:
+            return None
+        real, signed, sign, imag = m.groups()
         x = float(real)
         if signed:
             y = float(signed)
@@ -128,18 +134,12 @@ def _vector_values(span: str) -> tuple[complex, ...] | None:
     return tuple(values)
 
 
-def _classic(vector: _Token, lineno: int) -> list[_Token]:
-    """A vector token's classic tokens: '[', then those of the rest of its
-    span, which holds no '['."""
-    rest = _tokenize(vector.text[1:], lineno)[:-1]
-    return [_Token("punct", "[", vector.column)] + [
-        tok._replace(column=tok.column + vector.column) for tok in rest]
-
-
-def _tokenize(text: str, lineno: int) -> list[_Token]:
+def _tokenize(text: str, lineno: int) -> tuple[_Token, ...]:
     """The tokens of one line, closed by an ``end`` token at the column just
-    past the last one, where an end-of-line error points.  A well-formed
-    list of finite complex literals is one vector token."""
+    past the last one, where an end-of-line error points.  A value list,
+    from a '[' after '=', '[' or ',' to the first ']', whose every item is
+    one finite complex literal, is one vector token; any other '[' is
+    punctuation."""
     tokens = []
     i = 0
     n = len(text)
@@ -155,12 +155,12 @@ def _tokenize(text: str, lineno: int) -> list[_Token]:
             tokens.append(_Token("punct", "->", col))
             i += 2
             continue
-        if c == "[":
-            m = _VECTOR_RE.match(text, i)
-            values = m and _vector_values(m.group())
+        if c == "[" and tokens and tokens[-1].text in _LIST_AFTER:
+            j = text.find("]", i)
+            values = j > i and _vector_values(text[i + 1:j])
             if values:
-                tokens.append(_Token("vector", m.group(), col, values))
-                i = m.end()
+                tokens.append(_Token("vector", text[i:j + 1], col, values))
+                i = j + 1
                 continue
         if c in _PUNCT:
             tokens.append(_Token("punct", c, col))
@@ -191,11 +191,11 @@ def _tokenize(text: str, lineno: int) -> list[_Token]:
         raise ParseError(lineno, col, "unexpected character", c)
     last = tokens[-1] if tokens else None
     tokens.append(_Token("end", "", last.column + len(last.text) if last else 1))
-    return tokens
+    return tuple(tokens)
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token], lineno: int,
+    def __init__(self, tokens: tuple[_Token, ...], lineno: int,
                  names: dict[str, set[str]]):
         self.tokens = tokens
         self.lineno = lineno
@@ -204,16 +204,12 @@ class _Cursor:
 
     def error(self, message: str, token: _Token | None = None):
         token = token or self.peek()
-        raise ParseError(self.lineno, token.column, message, token.text)
+        # a vector stands where its list's classic tokens begin, with '['
+        text = "[" if token.kind == "vector" else token.text
+        raise ParseError(self.lineno, token.column, message, text)
 
     def peek(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind == "vector":
-            # every reader but vector() sees a vector as its classic tokens
-            self.tokens = (self.tokens[:self.pos] + _classic(tok, self.lineno)
-                           + self.tokens[self.pos + 1:])
-            tok = self.tokens[self.pos]
-        return tok
+        return self.tokens[self.pos]
 
     def accept(self, word: str) -> bool:
         if self.peek().text == word:
@@ -266,8 +262,9 @@ class _Cursor:
 
     def vector(self) -> tuple[complex, ...]:
         """``[ complex (, complex)* ]``: a vector token's values, else the
-        same list read from classic tokens."""
-        tok = self.tokens[self.pos]
+        list read from classic tokens, which reports any error in it.  Only
+        this reader takes a vector token; every other one fails on it."""
+        tok = self.peek()
         if tok.kind == "vector":
             self.pos += 1
             return tok.value
@@ -821,8 +818,8 @@ def parse(source: str) -> ProtocolAst:
              "ket gas observer chamber checkpoint filled space temp".split()}
 
     # a line's tokens depend only on its text, and a line that fails to
-    # tokenize raises on its first copy, so repeated lines share one list
-    token_lists: dict[str, list[_Token]] = {}
+    # tokenize raises on its first copy, so repeated lines share one tuple
+    token_lists: dict[str, tuple[_Token, ...]] = {}
     for lineno, raw in enumerate(source.split("\n"), start=1):
         tokens = token_lists.get(raw)
         if tokens is None:

@@ -173,15 +173,15 @@ def measure(povm: Povm, rho: StatisticalMatrix
 
     Outcome i is the pair (probability, post state): tr(A_i rho A_i^dag)
     and the normalized post state, labelled by the outcome; outcomes with
-    probability below linalg.ZERO_PROB have None for a post state (there is
-    nothing left to normalize).  Post-state traces are checked in outcome
-    order.
+    probability at most linalg.PRUNE_TOL are round-off and have None for a
+    post state, and ``separate`` drops them.  Post-state traces are checked
+    in outcome order.
     """
     if rho.dim != povm.dim:
         raise DimensionError(f"povm dim {povm.dim} vs state dim {rho.dim}")
     raw = _updates(povm.effects, rho.matrix[None])[0]
     traces = raw.trace(axis1=-2, axis2=-1).real
-    kept = traces >= linalg.ZERO_PROB
+    kept = traces > linalg.PRUNE_TOL
     posts = iter(StatisticalMatrix._derived(
         raw[kept] / traces[kept][:, None, None],
         [povm.outcome_labels[i] for i in kept.nonzero()[0].tolist()]))

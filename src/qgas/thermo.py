@@ -271,7 +271,7 @@ def separate(lab: LabState, chamber: str, povm: Povm, names,
     q = 0.0
     parts = []
     for name, (fraction, post) in zip(names, measure(povm, rho)):
-        if fraction <= linalg.PRUNE_TOL:
+        if post is None:
             continue
         moles_i = fraction * ch.moles
         q += moles_i * R * t * math.log(fraction)

@@ -49,10 +49,6 @@ MUTANTS = [
      "    ch = lab.chamber(chamber)\n",
      "rotate rejects a rotation of another dimension than the lab"),
     ("thermo.py",
-     "if fraction <= linalg.PRUNE_TOL:",
-     "if fraction < linalg.PRUNE_TOL:",
-     "separate drops an outcome whose share is at most PRUNE_TOL"),
-    ("thermo.py",
      "Chamber(part_name, f * ch.volume, ch.moles * f, ch.state)",
      "Chamber(part_name, f * ch.volume, ch.moles * fraction, ch.state)",
      "partition gives each side its own share of the moles"),
@@ -122,6 +118,27 @@ MUTANTS = [
      "kept = w[w > linalg.PRUNE_TOL].tolist()",
      "kept = w.tolist()",
      "by eigenbasis allows ties among the eigenvalues it drops"),
+    ("quantum.py",
+     "kept = traces > linalg.PRUNE_TOL",
+     "kept = traces >= linalg.PRUNE_TOL",
+     "an outcome of probability at most PRUNE_TOL leaves no post state,"
+     " so separate drops it"),
+    ("audit.py",
+     "tol * checkpoint.state.total_moles()",
+     "tol",
+     "the audit threshold on Q/T scales with the moles of the lab"),
+    ("cli.py",
+     '"true" if v.cycle_closed else "false"',
+     '"false" if v.cycle_closed else "true"',
+     "a records verdict says cycleClosed true exactly when the cycle closed"),
+    ("protocol.py",
+     'self.names["chamber"].discard(tok.text)',
+     "pass",
+     "a step uses up the chambers it reads, so they are no longer live"),
+    ("protocol.py",
+     '_LIST_AFTER = ("=", "[", ",")',
+     '_LIST_AFTER = ("=", "[")',
+     "every matrix row, not only the first, is read as one vector token"),
 ]
 
 

@@ -63,7 +63,7 @@ def recheck(state, where):
 def random_gas(rng, dim, skew_basis):
     """A random pure, mixed or skewed state.  Skewed kets give outcome
     probabilities from about 1e-13 to 1e-5 in ``skew_basis``, across
-    linalg.ZERO_PROB."""
+    linalg.PRUNE_TOL."""
     kind = rng.integers(3)
     if kind == 0:
         return StatisticalMatrix.pure(random_ket(rng, dim))
@@ -221,7 +221,7 @@ def test_random_walk_keeps_every_derived_state_valid():
     # every step kind ran, and outcome states were derived from
     # probabilities within a decade of the cut-off
     assert min(kinds.values()) >= 10, kinds
-    assert linalg.ZERO_PROB <= lowest_p[0] < 10 * linalg.ZERO_PROB
+    assert linalg.PRUNE_TOL < lowest_p[0] < 10 * linalg.PRUNE_TOL
 
 
 @pytest.mark.parametrize("dim", [2, 8])

@@ -423,7 +423,7 @@ def _parse_outcome(source):
 def _both_readers(monkeypatch, sources):
     with_vectors = [_parse_outcome(source) for source in sources]
     with monkeypatch.context() as m:
-        m.setattr(protocol, "_VECTOR_RE", _NO_VECTORS)
+        m.setattr(protocol, "_ITEM_RE", _NO_VECTORS)
         classic = [_parse_outcome(source) for source in sources]
     return with_vectors, classic
 
@@ -447,12 +447,46 @@ def test_a_complex_list_is_one_vector_token():
     assert tokens[3].column == 9 and tokens[4].column == 41
 
 
-def test_vector_reader_parses_as_the_classic_tokens(monkeypatch):
+def _list_opens(line):
+    """The column of each '[' that opens a value list on a line: each '['
+    before its comment, less a matrix's outer one."""
+    code = line.partition("#")[0]
+    cols = [m.start() + 1 for m in re.finditer(r"\[", code)]
+    return cols[1:] if code.split()[2:3] == ["matrix"] else cols
+
+
+def _generated_sources(monkeypatch, seeds):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
+    return [[p.text for p in workloads.generate(name, seed)]
+            for name in ("eigen-d8", "long-script") for seed in seeds]
+
+
+def test_every_value_list_of_the_demos_and_generators_is_one_vector_token(monkeypatch):
+    # the classic tokens read the same values, only more slowly, so no
+    # parse result shows the fast path stop serving a list
+    sources = [protocol.demo_source(name) for name in protocol.DEMO_NAMES] + [
+        text for texts in _generated_sources(monkeypatch, (1,)) for text in texts]
+    lists = 0
+    for line in {line for source in sources for line in source.split("\n")}:
+        vectors = [t.column for t in protocol._tokenize(line, 1) if t.kind == "vector"]
+        assert vectors == _list_opens(line), line
+        lists += len(vectors)
+    assert lists > 100
+
+
+def test_each_matrix_row_is_one_vector_token():
+    line = "gas g matrix [[1, 0], [0, 1]]"
+    tokens = protocol._tokenize(line, 1)
+    assert [t.kind for t in tokens] == [
+        "id", "id", "id", "punct", "vector", "punct", "vector", "punct", "end"]
+    assert [t.column for t in tokens if t.kind == "vector"] == _list_opens(line) == [15, 23]
+    assert [t.value for t in tokens if t.kind == "vector"] == [(1, 0), (0, 1)]
+
+
+def test_vector_reader_parses_as_the_classic_tokens(monkeypatch):
     demos = [protocol.demo_source(name) for name in protocol.DEMO_NAMES]
-    generated = [[p.text for p in workloads.generate(name, seed)]
-                 for name in ("eigen-d8", "long-script") for seed in (1, 2)]
+    generated = _generated_sources(monkeypatch, (1, 2))
     rng = np.random.default_rng(28)
     # of each generator's shortest protocol per seed, only the declarations,
     # which hold all its literals, are edited: the steps take most of the time
