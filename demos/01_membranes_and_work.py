@@ -23,15 +23,17 @@ from qgas import (
 )
 
 # two perfectly distinguishable internal states
-z_up = StatisticalMatrix(np.diag([1.0, 0.0]), label="z+")
-z_down = StatisticalMatrix(np.diag([0.0, 1.0]), label="z-")
+z_up = StatisticalMatrix(np.diag([1.0, 0.0]))
+z_down = StatisticalMatrix(np.diag([0.0, 1.0]))
 print("tr(z+ z-) = 0, so the gases are distinguishable:",
       are_orthogonal(z_up, z_down))
 
-# the matching membranes: one passes z+, the other passes z-
+# the matching membranes: one passes z+, the other passes z-; a post state
+# is a density matrix alone, named here by the outcome that produced it
 membranes = Povm.projective([[1, 0], [0, 1]], labels=("z+", "z-"))
-for p, post in measure(membranes, z_up):
-    print(f"  outcome p={p:.3f} post={post}")
+for label, (p, post) in zip(membranes.outcome_labels, measure(membranes, z_up)):
+    shown = None if post is None else f"<{label} dim={post.dim}>"
+    print(f"  outcome p={p:.3f} post={shown}")
 
 # the work formula itself: compressing 1 mol into half its volume at T=1
 print("\nisothermal work for V -> V/2:", isothermal_work(1, 1, 1.0, 0.5))

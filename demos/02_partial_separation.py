@@ -21,8 +21,8 @@ from qgas import (
     separate,
 )
 
-z_plus = StatisticalMatrix(np.diag([1.0, 0.0]), label="z+")
-x_plus = StatisticalMatrix(np.ones((2, 2)) / 2, label="x+")
+z_plus = StatisticalMatrix(np.diag([1.0, 0.0]))
+x_plus = StatisticalMatrix(np.ones((2, 2)) / 2)
 print("tr(z+ x+) != 0, the gases overlap:", not are_orthogonal(z_plus, x_plus))
 
 # the aggregate half/half mixture and its eigenbasis membranes
@@ -33,9 +33,9 @@ for label, effect in zip(povm.outcome_labels, povm.effects):
     print(f"  {label}:")
     print(np.round(effect.real, 6))
 
-for rho in (z_plus, x_plus):
+for name, rho in (("z+", z_plus), ("x+", x_plus)):
     probs = [p for p, _ in measure(povm, rho)]
-    print(f"outcome probabilities for {rho.label}-gas:",
+    print(f"outcome probabilities for {name}-gas:",
           [round(p, 6) for p in probs])
 
 cell = Chamber("cell", 1.0, 1.0,

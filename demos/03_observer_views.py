@@ -35,14 +35,14 @@ tatiana = build_observer(
 )
 print(f"tatiana has {len(tatiana.sector_isometries)} sectors of the lab space")
 
-p_z = StatisticalMatrix.pure(e4[0], label="p:z+")
-d_z = StatisticalMatrix.pure(e4[2], label="d:z+")
+p_z = StatisticalMatrix.pure(e4[0])
+d_z = StatisticalMatrix.pure(e4[2])
 print("both species coarse-grain to the same description:")
 print(coarse_grain(tatiana, p_z).matrix.real)
 print(coarse_grain(tatiana, d_z).matrix.real)
 
 # a chamber mixing species p in state z+ with species d in state x+
-d_x = StatisticalMatrix.pure((e4[2] + e4[3]) / np.sqrt(2), label="d:x+")
+d_x = StatisticalMatrix.pure((e4[2] + e4[3]) / np.sqrt(2))
 cell = Chamber("cell", 1.0, 1.0, StatisticalMatrix((p_z.matrix + d_x.matrix) / 2))
 lab = LabState(1.0, [cell], 4)
 

@@ -7,7 +7,7 @@ wall and sees a closed cycle that absorbed heat.  The informed audit shows
 the same books describe an open cycle with an unpaid separation debt.
 """
 
-from qgas import run_demo
+from qgas import StatisticalMatrix, demo_source, parse, run_demo
 
 print("=== species-blind audit ===")
 result = run_demo("jaynes-johann")
@@ -32,6 +32,10 @@ print("the truly closed cycle nets exactly zero.")
 
 print()
 print("final chamber contents at full resolution:")
+# a state is its density matrix alone: name it by the declared kets it equals
+kets = {decl.name: StatisticalMatrix.pure(decl.amplitudes)
+        for decl in parse(demo_source("jaynes-marie")).declarations
+        if hasattr(decl, "amplitudes")}
 for name, chamber in result.final_state.chambers.items():
-    labels = [chamber.state.label or "gas"]
+    labels = [ket for ket, pure in kets.items() if chamber.state.close_to(pure)]
     print(f"  {name}: V={chamber.volume:.3f} n={chamber.moles:.3f} {labels}")

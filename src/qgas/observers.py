@@ -2,9 +2,11 @@
 
 An observer is a trace-preserving coarse-graining channel from the lab
 Hilbert space to the observer's own description space, built from a table of
-lab-basis kets and the observer kets they look like.  Rows whose images form
-an orthonormal set are grouped into one sector, and each sector k yields one
-isometry V_k = sum_rows |obs><lab|; the channel is rho -> sum_k V_k rho V_k^dag.
+lab-basis kets and the observer kets they look like.  Rows are grouped
+greedily, in table order, into sectors whose images stay orthonormal (so row
+order picks the sectors: swapping tatiana's pz- and dz- rows in peres-tatiana
+turns her apparent violation into a failed assert-closed); each sector k yields
+one isometry V_k = sum_rows |obs><lab|; the channel is rho -> sum_k V_k rho V_k^dag.
 Cross-sector coherences are dropped, which is exactly what "cannot tell the
 sectors apart" means operationally.  Membranes written in the observer's space
 reach the lab through the dual channel A -> sum_k V_k^dag A V_k.
@@ -117,7 +119,7 @@ def coarse_grain(obs: Observer, rho: StatisticalMatrix) -> StatisticalMatrix:
             f"state dim {rho.dim} does not match lab dim {obs.lab_dim}"
         )
     out = _updates(obs.sector_isometries, rho.matrix[None]).sum(1)
-    return StatisticalMatrix._derived(out, [rho.label])[0]
+    return StatisticalMatrix._derived(out)[0]
 
 
 def lift_through(obs: Observer, povm: Povm) -> Povm:

@@ -7,7 +7,7 @@ statement per line, '#' comments, whitespace-insensitive within a line:
     space ID dim INT                      temp REAL
     ket ID = [ complex, ... ]
     gas ID from ket ID                    gas ID matrix [[c, ...], ...]
-    observer ID table { ID -> ID, ... } dim INT
+    observer ID table { ID -> ID, ... } dim INT   (row order picks the sectors)
     chamber ID volume REAL
     fill ID { ID : REAL, ... } moles REAL
 
@@ -473,9 +473,9 @@ class GasDecl(_Node):
     def run(self, ctx: _Run):
         dim = ctx.space_dim(f"gas {self.name!r}")
         if self.ket is not None:
-            state = StatisticalMatrix.pure(ctx.kets[self.ket], label=self.name)
+            state = StatisticalMatrix.pure(ctx.kets[self.ket])
         else:
-            state = StatisticalMatrix(self.matrix, label=self.name)
+            state = StatisticalMatrix(self.matrix)
         if state.dim != dim:
             raise DomainError(
                 f"gas {self.name!r} has dim {state.dim}, lab space has dim {dim}"

@@ -51,11 +51,9 @@ def _check_trace(tr: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class StatisticalMatrix:
-    """Trace-one positive Hermitian matrix, optionally carrying a short label
-    that only ``repr`` shows (``observers.coarse_grain`` passes it on)."""
+    """Trace-one positive Hermitian matrix."""
 
     matrix: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         # an overflowing Hermitian part holds inf or nan, and eigvalsh
@@ -71,22 +69,20 @@ class StatisticalMatrix:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _derived(cls, stack: np.ndarray,
-                 labels=None) -> list["StatisticalMatrix"]:
+    def _derived(cls, stack: np.ndarray) -> list["StatisticalMatrix"]:
         """The states of an (n, d, d) stack of complex matrices derived from
         checked states by one of the four operations named in the module
-        docstring, labelled by ``labels`` (default none): the matrices
-        __post_init__ would store, frozen, with every trace checked (the
-        first failing one is reported) but no eigensolver run."""
+        docstring: the matrices __post_init__ would store, frozen, with every
+        trace checked (the first failing one is reported) but no eigensolver
+        run."""
         h = linalg.hermitian_part(stack)
         for tr in h.trace(axis1=-2, axis2=-1).real.tolist():
             _check_trace(tr)
         h.flags.writeable = False
         states = []
-        for m, label in zip(h, labels or (None,) * len(h)):
+        for m in h:
             self = object.__new__(cls)
             object.__setattr__(self, "matrix", m)
-            object.__setattr__(self, "label", label)
             states.append(self)
         return states
 
@@ -95,8 +91,8 @@ class StatisticalMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def pure(cls, ket, label: str | None = None) -> "StatisticalMatrix":
-        return cls(linalg.projector(ket), label=label)
+    def pure(cls, ket) -> "StatisticalMatrix":
+        return cls(linalg.projector(ket))
 
     def close_to(self, other: "StatisticalMatrix",
                  tol: float = linalg.SAME_STATE_TOL) -> bool:
@@ -105,8 +101,7 @@ class StatisticalMatrix:
         )
 
     def __repr__(self):
-        name = self.label or "state"
-        return f"<{name} dim={self.dim}>"
+        return f"<state dim={self.dim}>"
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,19 +167,16 @@ def measure(povm: Povm, rho: StatisticalMatrix
     """Apply every effect of the POVM to rho.
 
     Outcome i is the pair (probability, post state): tr(A_i rho A_i^dag)
-    and the normalized post state, labelled by the outcome; outcomes with
-    probability at most linalg.PRUNE_TOL are round-off and have None for a
-    post state, and ``separate`` drops them.  Post-state traces are checked
-    in outcome order.
+    and the normalized post state; outcomes with probability at most
+    linalg.PRUNE_TOL are round-off and have None for a post state, and
+    ``separate`` drops them.  Post-state traces are checked in outcome order.
     """
     if rho.dim != povm.dim:
         raise DimensionError(f"povm dim {povm.dim} vs state dim {rho.dim}")
     raw = _updates(povm.effects, rho.matrix[None])[0]
     traces = raw.trace(axis1=-2, axis2=-1).real
     kept = traces > linalg.PRUNE_TOL
-    posts = iter(StatisticalMatrix._derived(
-        raw[kept] / traces[kept][:, None, None],
-        [povm.outcome_labels[i] for i in kept.nonzero()[0].tolist()]))
+    posts = iter(StatisticalMatrix._derived(raw[kept] / traces[kept][:, None, None]))
     # tr may pass 1 by round-off
     return [(min(max(tr, 0.0), 1.0), next(posts) if keep else None)
             for tr, keep in zip(traces.tolist(), kept.tolist())]

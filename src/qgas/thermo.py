@@ -74,17 +74,14 @@ class Chamber:
 def _mean_chamber(name: str, volume: float, parts) -> Chamber:
     """The chamber holding every filled part of ``parts``, (moles, state)
     pairs with no state for an unfilled part: their mole sum, checked
-    first, in their mole-weighted mean state, labelled by the label all of
-    them share (else none)."""
+    first, in their mole-weighted mean state."""
     parts = [(moles, rho) for moles, rho in parts if rho is not None]
     if not parts:
         return Chamber(name, volume)
     n = sum(moles for moles, _ in parts)
     _check_moles(name, n, True)
     m = sum((moles / n) * rho.matrix for moles, rho in parts)
-    labels = {rho.label for _, rho in parts}
-    label = labels.pop() if len(labels) == 1 else None
-    return Chamber(name, volume, n, StatisticalMatrix._derived(m[None], [label])[0])
+    return Chamber(name, volume, n, StatisticalMatrix._derived(m[None])[0])
 
 
 def check_temperature(t: float) -> None:

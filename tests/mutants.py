@@ -29,10 +29,6 @@ MUTANTS = [
      "m = sum((moles / n) * rho.matrix\n"
      "            for (moles, _), (_, rho) in zip(parts, parts[::-1]))",
      "the mean weights each state by its own moles"),
-    ("thermo.py",
-     "label = labels.pop() if len(labels) == 1 else None",
-     "label = None",
-     "a mean state keeps the label all its inputs share"),
     ("quantum.py",
      "return ops @ matrices[:, None] @ ops.conj().swapaxes(-1, -2)",
      "return ops.conj().swapaxes(-1, -2) @ matrices[:, None] @ ops",
@@ -65,6 +61,10 @@ MUTANTS = [
      "passes_a = pa >= 1.0 - tol and pb <= tol",
      "passes_a = pa >= 1.0 and pb <= tol",
      "mix allows round-off of tol below certainty"),
+    ("thermo.py",
+     "passes_a = pa >= 1.0 - tol and pb <= tol",
+     "passes_a = pa >= 1.0 - tol",
+     "a mix effect passes one chamber only if it blocks the other"),
     ("observers.py",
      "Chamber(name, ch.volume, ch.moles,",
      "Chamber(name, ch.volume, ch.volume,",
@@ -139,6 +139,25 @@ MUTANTS = [
      '_LIST_AFTER = ("=", "[", ",")',
      '_LIST_AFTER = ("=", "[")',
      "every matrix row, not only the first, is read as one vector token"),
+    ("thermo.py",
+     "if not 0 < self.volume < math.inf:",
+     "if not 0 <= self.volume < math.inf:",
+     "a chamber's volume is positive, not zero"),
+    ("thermo.py",
+     "if not 0.0 < fraction < 1.0:",
+     "if not 0.0 <= fraction <= 1.0:",
+     "a partition's fraction lies strictly between 0 and 1"),
+    ("observers.py",
+     "if all(abs(np.vdot(obs, other)) <= linalg.ORTHONORMAL_TOL",
+     "if all(abs(np.vdot(obs, other)) < 0.5",
+     "a table row joins a sector only if its image is orthogonal to the"
+     " sector's images"),
+    ("cli.py",
+     "        if config.observer is not None"
+     " and config.observer not in result.observers:\n"
+     '            return 1, "", f"error: no observer named {config.observer!r}\\n"\n',
+     "",
+     "--observer naming no declared observer exits 1 in every format"),
 ]
 
 

@@ -181,11 +181,10 @@ class TestTableFormat:
         )
 
     def test_unknown_observer_filter(self):
-        code, _, err = run_command(
-            CliConfig("demo", "peres-tatiana", observer="nobody")
-        )
-        assert code == 1
-        assert "nobody" in err
+        for fmt in cli.FORMATS:
+            assert run_command(
+                CliConfig("demo", "peres-tatiana", format=fmt, observer="nobody")
+            ) == (1, "", "error: no observer named 'nobody'\n")
 
     @pytest.mark.parametrize("z, text", [
         (complex(1, 4.92257e-17), "1"),

@@ -18,6 +18,7 @@ import pytest
 
 from util import (
     random_ket,
+    random_observer,
     random_povm,
     random_state,
     random_unitary,
@@ -25,7 +26,7 @@ from util import (
 )
 from qgas import linalg
 from qgas.errors import QgasError
-from qgas.observers import Observer, build_observer, coarse_grain
+from qgas.observers import build_observer, coarse_grain
 from qgas.quantum import (
     Povm,
     StatisticalMatrix,
@@ -272,15 +273,6 @@ def test_stacked_updates_equal_the_single_matrix_formulas(dim):
             mean, hermitian(0.25 * states[0].matrix + 0.75 * states[1].matrix))
         rotated = rotate(joined, "c", rotation)[0].chamber("c").state
         assert np.array_equal(rotated.matrix, hermitian(u @ mean @ u.conj().T))
-
-
-def random_observer(rng, lab_dim, obs_dim, sectors):
-    """An observer whose stacked sectors are the orthonormal columns of a
-    random (sectors * obs_dim, lab_dim) matrix."""
-    c = rng.normal(size=(sectors * obs_dim, lab_dim)) \
-        + 1j * rng.normal(size=(sectors * obs_dim, lab_dim))
-    q, _ = np.linalg.qr(c)
-    return Observer("random", q.reshape(sectors, obs_dim, lab_dim))
 
 
 @pytest.mark.parametrize("dim", range(1, linalg.MAX_DIM + 1))

@@ -1,5 +1,7 @@
-"""Metamorphic oracles on the six bundled demos: a protocol rewritten
-without changing the experiment must report the same ledger and verdicts.
+"""Metamorphic oracles on the six bundled demos and on the first seed-1
+protocol of each benchmark generator (eigen-d8, long-script): a protocol
+rewritten without changing the experiment must report the same ledger and
+verdicts.
 
 Each variant is built from the parsed AST with ``dataclasses.replace``, then
 rendered and parsed again, so the renderer and the parser are covered too.
@@ -12,7 +14,7 @@ rendered and parsed again, so the renderer and the parser are covered too.
   relative bound, and the verdicts stay equal.
 - Volumes: every chamber volume times c leaves every q and verdict.
 - Temperature: the temperature times c, with a ``temp`` inserted where a
-  demo has none, multiplies every q by c and leaves every qOverT,
+  protocol has none, multiplies every q by c and leaves every qOverT,
   classification and cycleClosed.
 - Names: a suffix on every identifier that is not a keyword, added to the
   rendered text token by token, leaves every q bit for bit and every
@@ -24,7 +26,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from util import random_unitary
+from util import generated_sources, random_unitary
 from qgas import protocol
 from qgas.protocol import (
     DEMO_NAMES,
@@ -41,6 +43,9 @@ from qgas.protocol import (
     render,
 )
 
+# the demos, then the first seed-1 protocol of each generator
+SOURCES = {name: demo_source(name) for name in DEMO_NAMES} | {
+    name: generated_sources(name, 1)[0] for name in ("eigen-d8", "long-script")}
 SCALE = 1e3
 FACTORS = (1e-3, 7.0, 1e3)
 SUFFIX = "_r"
@@ -100,8 +105,8 @@ def scale_volumes(ast, c):
 
 
 def scale_temperature(ast, c):
-    """The AST at c times its temperature; a demo without a ``temp`` runs at
-    1.0, so it gets ``temp c`` right after its space."""
+    """The AST at c times its temperature; a protocol without a ``temp``
+    runs at 1.0, so it gets ``temp c`` right after its space."""
     decls = ast.declarations
     if not any(isinstance(d, TempDecl) for d in decls):
         at = 1 + next(i for i, d in enumerate(decls) if isinstance(d, SpaceDecl))
@@ -140,33 +145,33 @@ def assert_scaled(got, want, c, n):
     assert verdicts == want_verdicts
 
 
-@pytest.mark.parametrize("name", DEMO_NAMES)
+@pytest.mark.parametrize("name", SOURCES)
 def test_change_of_lab_basis_leaves_the_ledger(name):
-    ast = parse(demo_source(name))
-    u = random_unitary(np.random.default_rng(DEMO_NAMES.index(name)), lab_dim(ast))
+    ast = parse(SOURCES[name])
+    u = random_unitary(np.random.default_rng(list(SOURCES).index(name)), lab_dim(ast))
     assert_scaled(outcome(run(change_basis(ast, u))), outcome(run(ast)), 1.0,
                   total_moles(ast))
 
 
-@pytest.mark.parametrize("name", DEMO_NAMES)
+@pytest.mark.parametrize("name", SOURCES)
 def test_moles_scale_every_heat(name):
-    ast = parse(demo_source(name))
+    ast = parse(SOURCES[name])
     assert_scaled(outcome(run(scale_moles(ast, SCALE))), outcome(run(ast)), SCALE,
                   total_moles(ast))
 
 
-@pytest.mark.parametrize("name", DEMO_NAMES)
+@pytest.mark.parametrize("name", SOURCES)
 def test_volumes_leave_every_heat(name):
-    ast = parse(demo_source(name))
+    ast = parse(SOURCES[name])
     want = outcome(run(ast))
     for c in FACTORS:
         assert_scaled(outcome(run(scale_volumes(ast, c))), want, 1.0,
                       total_moles(ast))
 
 
-@pytest.mark.parametrize("name", DEMO_NAMES)
+@pytest.mark.parametrize("name", SOURCES)
 def test_temperature_scales_every_heat_and_leaves_q_over_t(name):
-    ast = parse(demo_source(name))
+    ast = parse(SOURCES[name])
     n = total_moles(ast)
     want = run(ast)
     for c in FACTORS:
@@ -176,9 +181,9 @@ def test_temperature_scales_every_heat_and_leaves_q_over_t(name):
             assert abs(v.q_over_t - v0.q_over_t) <= 1e-12 * n
 
 
-@pytest.mark.parametrize("name", DEMO_NAMES)
+@pytest.mark.parametrize("name", SOURCES)
 def test_renaming_every_identifier_leaves_the_records(name):
-    source = render(parse(demo_source(name)))
+    source = render(parse(SOURCES[name]))
     renamed = rename(source)
     assert renamed != source
     got, want = execute(parse(renamed)), execute(parse(source))

@@ -62,6 +62,14 @@ class TestBuildObserver:
         total = sum(v.conj().T @ v for v in obs.sector_isometries)
         assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
+    def test_partly_overlapping_images_each_start_a_sector(self):
+        # a row joins a sector only if its image is orthogonal to all of the
+        # sector's images: |<a|b>| = 0.3 keeps e0 -> a and e1 -> b apart
+        a, b = E2[0], np.array([0.3, math.sqrt(0.91)])
+        e3 = np.eye(3)
+        obs = build_observer([(e3[0], a), (e3[1], b), (e3[2], a)], obs_dim=2)
+        assert obs.sector_isometries.shape == (3, 2, 3)
+
     def test_sectors_are_one_read_only_stack(self):
         obs = tatiana()
         assert [f.name for f in dataclasses.fields(obs)] == ["name", "sector_isometries"]

@@ -1,7 +1,6 @@
 import math
 import re
 import string
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,18 +454,16 @@ def _list_opens(line):
     return cols[1:] if code.split()[2:3] == ["matrix"] else cols
 
 
-def _generated_sources(monkeypatch, seeds):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    import workloads
-    return [[p.text for p in workloads.generate(name, seed)]
+def _generated_sources(seeds):
+    return [util.generated_sources(name, seed)
             for name in ("eigen-d8", "long-script") for seed in seeds]
 
 
-def test_every_value_list_of_the_demos_and_generators_is_one_vector_token(monkeypatch):
+def test_every_value_list_of_the_demos_and_generators_is_one_vector_token():
     # the classic tokens read the same values, only more slowly, so no
     # parse result shows the fast path stop serving a list
     sources = [protocol.demo_source(name) for name in protocol.DEMO_NAMES] + [
-        text for texts in _generated_sources(monkeypatch, (1,)) for text in texts]
+        text for texts in _generated_sources((1,)) for text in texts]
     lists = 0
     for line in {line for source in sources for line in source.split("\n")}:
         vectors = [t.column for t in protocol._tokenize(line, 1) if t.kind == "vector"]
@@ -486,7 +483,7 @@ def test_each_matrix_row_is_one_vector_token():
 
 def test_vector_reader_parses_as_the_classic_tokens(monkeypatch):
     demos = [protocol.demo_source(name) for name in protocol.DEMO_NAMES]
-    generated = _generated_sources(monkeypatch, (1, 2))
+    generated = _generated_sources((1, 2))
     rng = np.random.default_rng(28)
     # of each generator's shortest protocol per seed, only the declarations,
     # which hold all its literals, are edited: the steps take most of the time
@@ -732,8 +729,15 @@ class TestExecute:
         ("separate c by eigenbasis into x y", "chamber 'c' holds no gas"),
         ("fill c { g : 1 } moles 1\nseparate c by eigenbasis into x y w",
          "need 2 outcome names, got 3"),
+        ("fill c { g : 1 } moles 1\npartition c at 0 into l r",
+         "fraction must lie in (0, 1), got 0.0"),
+        ("fill c { g : 1 } moles 1\npartition c at 1 into l r",
+         "fraction must lie in (0, 1), got 1.0"),
+        ("fill c { g : 1 } moles 1\npartition c at 1.5 into l r",
+         "fraction must lie in (0, 1), got 1.5"),
     ], ids=["outcome-names", "unfilled", "unfilled-mix", "rotate-dim",
-            "blind-mix", "unfilled-eigenbasis", "eigenbasis-outcome-names"])
+            "blind-mix", "unfilled-eigenbasis", "eigenbasis-outcome-names",
+            "fraction-0", "fraction-1", "fraction-above-1"])
     def test_bad_step_reported_at_its_line(self, step, message):
         source = DECL_HEAD + "ket z- = [0, 1]\nchamber c volume 1\n" + step + "\n"
         line = source.count("\n")
@@ -797,6 +801,8 @@ DECL_HEAD = "space lab dim 2\nket z+ = [1, 0]\ngas g from ket z+\n"
 DECLARATION_ERRORS = [
     (DECL_HEAD + "chamber c volume -1\nfill c { g : 1 } moles 1\n",
      4, "volume must be positive and finite, got -1.0"),
+    (DECL_HEAD + "chamber c volume 0\n",
+     4, "volume must be positive and finite, got 0.0"),
     (DECL_HEAD + "chamber c volume -1\nchamber d volume 1\n"
      "fill d { g : 0.7 } moles 1\n",
      4, "volume must be positive and finite, got -1.0"),
@@ -831,7 +837,7 @@ class TestDeclarationErrors:
     at its own line."""
 
     @pytest.mark.parametrize("source, line, message", DECLARATION_ERRORS, ids=[
-        "chamber-then-fill", "before-a-later-fill", "gas", "observer",
+        "chamber-then-fill", "volume-0", "before-a-later-fill", "gas", "observer",
         "space-dim", "gas-dim", "observer-lab-dim", "observer-ket-dim",
         "ket-length", "fill-fraction-sign", "fill-moles", "fill-sum"])
     def test_first_bad_declaration_reported_at_its_line(self, source, line, message):

@@ -37,8 +37,8 @@ E0, E1, E2, E3 = np.eye(4, dtype=complex)
 Z2 = np.eye(2, dtype=complex)
 
 
-def sm(matrix, label=None):
-    return StatisticalMatrix(matrix, label=label)
+def sm(matrix):
+    return StatisticalMatrix(matrix)
 
 
 def zpovm():
@@ -51,9 +51,9 @@ def apovm():
 
 class TestStatisticalMatrix:
     def test_accepts_valid(self):
-        s = sm(MIXTURE, label="mix")
+        s = sm(MIXTURE)
         assert s.dim == 2
-        assert s.label == "mix"
+        assert repr(s) == "<state dim=2>"
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
@@ -92,10 +92,10 @@ class TestDerived:
             c = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             m = c @ c.conj().T
             m = m / np.trace(m) + 1e-14j * rng.normal(size=(dim, dim))
-            full = sm(m, label="g")
-            (derived,) = StatisticalMatrix._derived(m[None], ["g"])
+            full = sm(m)
+            (derived,) = StatisticalMatrix._derived(m[None])
             assert derived.matrix.tobytes() == full.matrix.tobytes()
-            assert derived.label == "g" and not derived.matrix.flags.writeable
+            assert not derived.matrix.flags.writeable
 
     def test_checks_the_trace(self):
         with pytest.raises(StateError, match="trace must be 1, got 2"):

@@ -9,22 +9,28 @@ open, which is how the paper resolves the Peres and Jaynes puzzles.
 The six demos and both bench generators at seed 1 are executed, and every
 declared observer and ``identity_observer(lab_dim)`` audits every span from
 a checkpoint to the final lab.
+
+Refinement is composition of channels: coarse-graining by O, then by Psi,
+is coarse-graining by the one observer whose sectors are the products
+W_j V_i of Psi's sectors W_j and O's sectors V_i.
 """
 
 import dataclasses
-from pathlib import Path
 
+import numpy as np
+import pytest
+
+from util import generated_sources, random_observer, random_state
+from qgas import linalg
 from qgas.audit import APPARENT_VIOLATION, audit
-from qgas.observers import identity_observer
+from qgas.observers import Observer, coarse_grain, identity_observer
 from qgas.protocol import DEMO_NAMES, demo_source, execute, parse
 
 
-def test_the_identity_observer_refines_every_observer(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    import workloads
+def test_the_identity_observer_refines_every_observer():
     sources = [demo_source(name) for name in DEMO_NAMES] + [
-        p.text for name in ("eigen-d8", "long-script")
-        for p in workloads.generate(name, 1)]
+        text for name in ("eigen-d8", "long-script")
+        for text in generated_sources(name, 1)]
     spans = violations = 0
     for source in sources:
         result = execute(parse(source))
@@ -41,3 +47,19 @@ def test_the_identity_observer_refines_every_observer(monkeypatch):
                     violations += 1
                     assert not fine.cycle_closed
     assert len(sources) == 24 and spans > len(sources) and violations > 0
+
+
+@pytest.mark.parametrize("dim", range(1, linalg.MAX_DIM + 1))
+def test_coarse_graining_composes(dim):
+    rng = np.random.default_rng(1600 + dim)
+    for _ in range(25):
+        mid, out = (int(d) for d in rng.integers(1, linalg.MAX_DIM + 1, size=2))
+        first = random_observer(rng, dim, mid, int(rng.integers(-(-dim // mid), 9)))
+        then = random_observer(rng, mid, out, int(rng.integers(-(-mid // out), 9)))
+        composite = Observer("composite", (
+            then.sector_isometries[:, None] @ first.sector_isometries[None]
+        ).reshape(-1, out, dim))
+        rho = random_state(rng, dim)
+        gap = (coarse_grain(composite, rho).matrix
+               - coarse_grain(then, coarse_grain(first, rho)).matrix)
+        assert np.max(np.abs(gap)) <= 1e-14

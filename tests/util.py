@@ -1,8 +1,17 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators shared across the test modules, and the
+protocols the benchmark's generators write."""
+
+import functools
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
+from qgas.observers import Observer
 from qgas.quantum import Povm, StatisticalMatrix
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -37,6 +46,15 @@ def random_povm(rng, dim, outcomes):
     return Povm(tuple(b @ root_inv for b in blocks))
 
 
+def random_observer(rng, lab_dim, obs_dim, sectors):
+    """An observer whose stacked sectors are the orthonormal columns of a
+    random (sectors * obs_dim, lab_dim) matrix."""
+    c = rng.normal(size=(sectors * obs_dim, lab_dim)) \
+        + 1j * rng.normal(size=(sectors * obs_dim, lab_dim))
+    q, _ = np.linalg.qr(c)
+    return Observer("random", q.reshape(sectors, obs_dim, lab_dim))
+
+
 def random_orthogonal_pair(rng, dim):
     """Two orthogonal pure states."""
     u = random_unitary(rng, dim)
@@ -53,3 +71,19 @@ def skewed_ket(rng, basis, lowest=-4.5):
     amps = amps * np.exp(2j * np.pi * rng.uniform(size=dim))
     amps[rng.integers(dim)] = 1.0
     return basis @ amps
+
+
+@functools.cache
+def _workloads():
+    """bench/workloads.py, loaded once from its file."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    # registered before it runs: its dataclasses look their module up by name
+    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def generated_sources(workload, seed):
+    """The texts of the protocols that the benchmark's ``workload``
+    generator (eigen-d8 or long-script) writes for ``seed``."""
+    return [p.text for p in _workloads().generate(workload, seed)]
